@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .geometry import schwarzschild_profile, schwarzschild_s_of_rho, schwarzschild_warp
 from .numerics import Grid, SampledFunction, cumulative_order3, cumulative_quad, fd_derivative
@@ -227,6 +226,8 @@ def build_barrier_schwarzschild(mu, m, rho1, rho2, beta, H0, rho_max=40.0, n=400
                     "-int dt/h no matter how negative beta_1 is; beta is below that floor "
                     "with C at its ceiling"
                 )
+        from scipy.optimize import brentq  # deferred: keeps scipy out of import time
+
         beta1 = brentq(lambda b1: height_at_control(b1) - beta, lo, 0.0, xtol=1e-12)
         beta1 = min(beta1, 0.0)
 

@@ -62,18 +62,24 @@ def sphere_area(m: int) -> float:
 
 
 class _VolumeCache:
-    """Weighted volume machinery of one model, built lazily."""
+    """Weighted volume machinery of one model, built lazily.
+
+    Holds the model's profile and warp, not the model itself, so the cache
+    stored on the model forms no reference cycle and is freed with it.
+    """
 
     def __init__(self, model: StaticModel):
-        self.model = model
-        self.omega = sphere_area(model.m)
+        profile, warp, m = model.base.profile, model.warp, model.m
+        self.profile = profile
+        self.warp = warp
+        self.m = m
+        self.omega = sphere_area(m)
         lo, hi = model.base.s_domain
-        self.lo = lo
 
         def integrand(s):
-            g, _, _ = model.base.profile.evaluate(np.asarray(s, dtype=float))
-            h, _, _ = model.warp.evaluate(np.asarray(s, dtype=float))
-            return np.asarray(h, dtype=float) * np.asarray(g, dtype=float) ** (model.m - 1)
+            g, _, _ = profile.evaluate(np.asarray(s, dtype=float))
+            h, _, _ = warp.evaluate(np.asarray(s, dtype=float))
+            return np.asarray(h, dtype=float) * np.asarray(g, dtype=float) ** (m - 1)
 
         self._anti = Antiderivative(integrand, lo, min(hi, lo + max(8.0, hi - lo)))
 
@@ -81,21 +87,19 @@ class _VolumeCache:
         return self.omega * self._anti(r)
 
     def bvol(self, r, weight_power: int = 1):
-        g, _, _ = self.model.base.profile.evaluate(r)
-        h, _, _ = self.model.warp.evaluate(r)
+        g, _, _ = self.profile.evaluate(r)
+        h, _, _ = self.warp.evaluate(r)
         return self.omega * np.asarray(h, dtype=float) ** weight_power * np.asarray(g, dtype=float) ** (
-            self.model.m - 1
+            self.m - 1
         )
 
 
-_volume_caches: dict[int, _VolumeCache] = {}
-
-
 def _volumes(model: StaticModel) -> _VolumeCache:
-    key = id(model)
-    if key not in _volume_caches:
-        _volume_caches[key] = _VolumeCache(model)
-    return _volume_caches[key]
+    """The model's volume cache, stored on the (frozen) model so it dies with it."""
+    vc = model.__dict__.get("_volume_cache")
+    if vc is None:
+        vc = model.__dict__["_volume_cache"] = _VolumeCache(model)
+    return vc
 
 
 @dataclass(frozen=True)

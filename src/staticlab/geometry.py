@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .numerics import Grid, cumulative_quad
 
@@ -68,9 +67,12 @@ class _SchwarzschildChart:
 
     The endpoint singularity is removed by the substitution t = rho_S + w^2,
     after which the integrand 2w/sqrt(V(rho_S + w^2)) is smooth.  Forward
-    values come from a cached cumulative integral on a w-grid; the inverse is
-    a monotone-interpolant initial guess polished by Newton iterations on the
-    exact forward map.
+    values come from a cached cumulative integral on a w-grid.  The inverse
+    starts from piecewise-linear interpolation of that monotone (s, w) table
+    and is polished by Newton iterations on the exact forward map.  The last
+    inverse solve is memoised, keyed by the input values, so that profile
+    and warp evaluation of one sample array share it; growing the table
+    clears the memo.
     """
 
     def __init__(self, mu: float, m: int):
@@ -83,6 +85,7 @@ class _SchwarzschildChart:
         self.rho_s = (2.0 * mu) ** (1.0 / (m - 2))
         self._w_nodes = None
         self._s_nodes = None
+        self._last_inverse = None  # (s, rho) of the most recent rho_of_s solve
         self._ensure(w_max=np.sqrt(64.0 + self.rho_s))
 
     def _integrand(self, w):
@@ -101,6 +104,7 @@ class _SchwarzschildChart:
         w = np.linspace(0.0, w_max, n + 1)
         self._w_nodes = w
         self._s_nodes = cumulative_quad(self._integrand, w, tol=1e-14)
+        self._last_inverse = None
 
     def _local(self, w):
         """Forward map on arrays: cached node + one fine Simpson correction."""
@@ -132,12 +136,16 @@ class _SchwarzschildChart:
         # grow the table until it covers the requested s values
         while self._s_nodes[-1] < float(np.max(s_arr)):
             self._ensure(self._w_nodes[-1] * 2.0)
-        guess = PchipInterpolator(self._s_nodes, self._w_nodes)(s_arr)
-        w = np.maximum(guess, 1e-12)
-        for _ in range(4):
-            w = w - (self._local(w) - s_arr) / self._integrand(w)
-            w = np.maximum(w, 1e-15)
-        rho = self.rho_s + w * w
+        last = self._last_inverse
+        if last is not None and last[0].shape == s_arr.shape and np.array_equal(last[0], s_arr):
+            rho = last[1].copy()
+        else:
+            w = np.maximum(np.interp(s_arr, self._s_nodes, self._w_nodes), 1e-12)
+            for _ in range(4):
+                w = w - (self._local(w) - s_arr) / self._integrand(w)
+                w = np.maximum(w, 1e-15)
+            rho = self.rho_s + w * w
+            self._last_inverse = (s_arr.copy(), rho.copy())
         return float(rho) if np.isscalar(s) or s_arr.ndim == 0 else rho
 
 
@@ -152,7 +160,7 @@ def schwarzschild_s_of_rho(mu: float, m: int, rho):
 
 
 def schwarzschild_rho_of_s(mu: float, m: int, s):
-    """Inverse coordinate change, by monotone interpolation plus Newton."""
+    """Inverse coordinate change, by table interpolation plus Newton."""
     return _chart(mu, m).rho_of_s(s)
 
 
@@ -225,6 +233,8 @@ def schwarzschild_profile(mu: float, m: int) -> RadialProfile:
 
 def custom_profile(s_nodes, g_values) -> RadialProfile:
     """C^2 cubic-spline profile through tabulated (s, g) samples."""
+    from scipy.interpolate import CubicSpline  # deferred: keeps scipy out of import time
+
     s_nodes = np.asarray(s_nodes, dtype=float)
     g_values = np.asarray(g_values, dtype=float)
     if not np.all(np.diff(s_nodes) > 0):
@@ -316,7 +326,11 @@ def constant_warp(c: float = 1.0) -> Warp:
 
 
 def schwarzschild_warp(mu: float, m: int) -> Warp:
-    """h = sqrt(V(rho(s))) on the exterior; h' = V'/2, h'' = (V''/2) sqrt(V)."""
+    """h = sqrt(V(rho(s))) on the exterior; h' = V'/2, h'' = (V''/2) sqrt(V).
+
+    The three callables share the chart's memoised inverse, so evaluating
+    them (and the profile) on one sample array solves for rho once.
+    """
     chart = _chart(mu, m)
 
     def h(s):

@@ -1,10 +1,11 @@
 """Deterministic numerical primitives shared by the whole laboratory.
 
 Everything here is double precision, tolerance-explicit and free of hidden
-state: adaptive Simpson quadrature, classical RK4 integration, a cyclic
-Jacobi eigensolver for the small symmetric matrices of the pointwise
-algebra, and a Thomas solver for the tridiagonal systems of the radial
-finite-difference machinery.
+state: adaptive Simpson quadrature (scalar, and a cumulative form that
+refines unresolved intervals in vectorised batches, one integrand call
+per level), classical RK4 integration, a cyclic Jacobi eigensolver for the
+small symmetric matrices of the pointwise algebra, and a Thomas solver for
+the tridiagonal systems of the radial finite-difference machinery.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 DEFAULT_QUAD_TOL = 1e-10
 _MAX_QUAD_DEPTH = 48
+_MAX_BATCH_PANELS = 4096
 
 
 class QuadratureError(RuntimeError):
@@ -134,12 +136,70 @@ def quad(f, a: float, b: float, tol: float = DEFAULT_QUAD_TOL) -> float:
     return rec(a, b, fa, fm, fb, whole, tol, 0)
 
 
+def _adaptive_simpson_batch(f, x0, x2, f0, fm, f2, whole, tol):
+    """Adaptive Simpson integral of ``f`` over each panel [x0_i, x2_i], batched.
+
+    Same panel rule as :func:`quad` (``whole`` is each panel's one-panel
+    Simpson value, ``tol`` its error tolerance), but each step evaluates
+    ``f`` once on the quarter points of a whole batch of unresolved panels.
+    Batches are refined deepest first and capped at ``_MAX_BATCH_PANELS``:
+    near a non-integrable singularity the unresolved panels multiply with
+    every level, and going deep first bounds memory and finds the panel that
+    cannot be resolved as early as the scalar recursion does.
+    """
+    total = np.zeros(x0.size)
+    stack = [(0, x0, x2, f0, fm, f2, whole, tol, np.arange(x0.size))]
+    while stack:
+        depth, x0, x2, f0, fm, f2, whole, tol, owner = stack.pop()
+        x1 = 0.5 * (x0 + x2)
+        n = x0.size
+        quarter = f(np.concatenate((0.5 * (x0 + x1), 0.5 * (x1 + x2))))
+        fl, fr = quarter[:n], quarter[n:]
+        left = _simpson(f0, fl, fm, x1 - x0)
+        right = _simpson(fm, fr, f2, x2 - x1)
+        err = (left + right - whole) / 15.0
+        value = left + right + err
+        ok = np.abs(err) <= tol
+        total += np.bincount(owner[ok], weights=value[ok], minlength=total.size)
+        bad = ~ok
+        if not bad.any():
+            continue
+        floor = (x2 - x0) <= 4e-16 * np.maximum(1.0, np.maximum(np.abs(x0), np.abs(x2)))
+        stuck = bad & floor if depth < _MAX_QUAD_DEPTH else bad
+        if stuck.any():
+            k = int(np.flatnonzero(stuck)[0])
+            raise QuadratureError(
+                f"quad: no convergence on [{x0[k]}, {x2[k]}] after depth {depth}",
+                last_estimate=float(value[k]),
+            )
+        x0, x1, x2 = x0[bad], x1[bad], x2[bad]
+        f0, fl, fm, fr, f2 = f0[bad], fl[bad], fm[bad], fr[bad], f2[bad]
+        children = (
+            np.concatenate((x0, x1)),
+            np.concatenate((x1, x2)),
+            np.concatenate((f0, fm)),
+            np.concatenate((fl, fr)),
+            np.concatenate((fm, f2)),
+            np.concatenate((left[bad], right[bad])),
+            np.tile(0.5 * tol[bad], 2),
+            np.tile(owner[bad], 2),
+        )
+        for start in reversed(range(0, 2 * x0.size, _MAX_BATCH_PANELS)):
+            stack.append((depth + 1, *(c[start:start + _MAX_BATCH_PANELS] for c in children)))
+    return total
+
+
 def cumulative_quad(f, nodes: np.ndarray, tol: float = 1e-13) -> np.ndarray:
     """Antiderivative values I(s_i) = int_{s_0}^{s_i} f, vectorised per interval.
 
     ``f`` must accept numpy arrays.  Each interval gets a two-panel Simpson
-    value with a Richardson error check; intervals failing the check fall back
-    to scalar adaptive quadrature.
+    value with a Richardson error check.  Intervals failing the check are
+    refined together by adaptive Simpson under the panel rule of
+    :func:`quad` (tolerance halved per level, same depth cap and width
+    floor), with ``f`` called once per refinement level on the quarter
+    points of all unresolved panels (in batches of at most
+    ``_MAX_BATCH_PANELS``).  Raises :class:`QuadratureError` when a panel
+    cannot be resolved.
     """
     nodes = np.asarray(nodes, dtype=float)
     a = nodes[:-1]
@@ -158,8 +218,10 @@ def cumulative_quad(f, nodes: np.ndarray, tol: float = 1e-13) -> np.ndarray:
     # non-finite increments are passed through for the caller to report
     thresh = np.maximum(tol, tol * np.abs(inc))
     bad = (err > thresh) & np.isfinite(inc)
-    for i in np.flatnonzero(bad):
-        inc[i] = quad(lambda x: float(f(np.asarray([x]))[0]), a[i], b[i], float(thresh[i]))
+    if bad.any():
+        inc[bad] = _adaptive_simpson_batch(
+            f, a[bad], b[bad], f0[bad], f2[bad], f4[bad], coarse[bad], thresh[bad]
+        )
     out = np.empty(nodes.size)
     out[0] = 0.0
     np.cumsum(inc, out=out[1:])

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -53,6 +55,17 @@ class TestWeightedVolumes:
         assert t.vol[0] == pytest.approx(2 * math.pi * (math.cosh(1.0) - 1.0), abs=1e-9)
         assert t.vol[0] == pytest.approx(3.4122763, abs=1e-6)
         assert t.bvol[0] == pytest.approx(7.3840069, abs=1e-6)
+
+    def test_volume_cache_dies_with_its_model(self):
+        refs = []
+        for k in range(200):
+            base = RadialBase(2, hyperbolic_profile(1.0 + 0.01 * k), (0.0, 2.0))
+            model = StaticModel(base, constant_warp(1.0))
+            weighted_volumes(model, [1.0])
+            refs.append(weakref.ref(model))
+        del model
+        gc.collect()
+        assert not any(r() is not None for r in refs)
 
     def test_decaying_warp_oracle(self):
         base = RadialBase(2, euclidean_profile(), (0.0, 10.0))

@@ -5,6 +5,7 @@ import pytest
 
 from staticlab.geometry import (
     DomainError,
+    _SchwarzschildChart,
     RadialBase,
     StaticModel,
     admissible_G0,
@@ -59,6 +60,33 @@ class TestSchwarzschildChart:
         s = schwarzschild_s_of_rho(0.7, 4, rho)
         assert schwarzschild_rho_of_s(0.7, 4, s) == pytest.approx(rho, rel=1e-9)
 
+    def test_round_trip_after_table_growth(self):
+        s = np.linspace(0.5, 30.0, 7)
+        chart = _SchwarzschildChart(1.0, 3)
+        chart.rho_of_s(s)
+        nodes_before = chart._w_nodes.size
+        far = chart.s_of_rho(np.array([2.0e3, 1.0e4]))  # grows the table past its initial range
+        assert chart._w_nodes.size > nodes_before
+        again = chart.rho_of_s(s)
+        np.testing.assert_allclose(chart.s_of_rho(again), s, rtol=1e-12)
+        np.testing.assert_allclose(chart.rho_of_s(far), [2.0e3, 1.0e4], rtol=1e-12)
+        # a chart grown first gives the same bits: nothing from the old table survived
+        fresh = _SchwarzschildChart(1.0, 3)
+        fresh.s_of_rho(np.array([2.0e3, 1.0e4]))
+        np.testing.assert_array_equal(again, fresh.rho_of_s(s))
+
+    def test_memoised_inverse_is_not_aliased(self):
+        chart = _SchwarzschildChart(0.7, 4)
+        s = np.linspace(0.3, 9.0, 11)
+        expected = _SchwarzschildChart(0.7, 4).rho_of_s(s)
+        first = chart.rho_of_s(s)
+        second = chart.rho_of_s(s)  # served from the memo
+        first[:] = 0.0  # callers scribble on their results
+        second[:] = 0.0
+        np.testing.assert_array_equal(chart.rho_of_s(s), expected)
+        s *= 2.0  # caller reuses its input buffer
+        np.testing.assert_array_equal(chart.rho_of_s(s), _SchwarzschildChart(0.7, 4).rho_of_s(s))
+
 
 class TestProfiles:
     def test_hyperbolic_values(self):
@@ -75,6 +103,23 @@ class TestProfiles:
         g, gp, gpp = eval_profile(base, s4)
         assert g == pytest.approx(4.0, abs=1e-9)
         assert gp == pytest.approx(math.sqrt(1.0 - 0.5), abs=1e-10)
+
+    @pytest.mark.parametrize("mu, m", [(1.0, 3), (0.7, 4)])
+    def test_schwarzschild_profile_and_warp_match_chart(self, mu, m):
+        s = np.linspace(0.05, 40.0, 257)
+        rho = _SchwarzschildChart(mu, m).rho_of_s(s)
+        v = 1.0 - 2.0 * mu * rho ** (2 - m)
+        g, gp, gpp = schwarzschild_profile(mu, m).evaluate(s)
+        h, dh, d2h = schwarzschild_warp(mu, m).evaluate(s)
+        for got, want in [
+            (g, rho),
+            (gp, np.sqrt(v)),
+            (gpp, mu * (m - 2) * rho ** (1 - m)),
+            (h, np.sqrt(v)),
+            (dh, mu * (m - 2) * rho ** (1 - m)),
+            (d2h, -mu * (m - 2) * (m - 1) * rho ** (-m) * np.sqrt(v)),
+        ]:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_domain_error(self):
         base = RadialBase(2, euclidean_profile(), (0.0, 10.0))

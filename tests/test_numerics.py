@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from staticlab import numerics
+from staticlab.geometry import _SchwarzschildChart
 from staticlab.numerics import (
     Antiderivative,
     Grid,
@@ -103,6 +105,63 @@ class TestQuad:
         nodes = np.linspace(0.0, 2.0, 33)
         vals = cumulative_quad(lambda x: np.exp(x), nodes)
         assert vals[-1] == pytest.approx(math.exp(2.0) - 1.0, abs=1e-12)
+
+    @staticmethod
+    def _counted(f, max_points=10**6):
+        def g(x):
+            g.calls += 1
+            g.points += np.size(x)
+            assert g.points <= max_points, "integrand evaluated on too many points"
+            return f(x)
+
+        g.calls = 0
+        g.points = 0
+        return g
+
+    @pytest.mark.parametrize(
+        "f, nodes",
+        [
+            # chart integrand across the horizon transition, on a grid far too coarse for it
+            (_SchwarzschildChart(1e-3, 5)._integrand, np.linspace(0.0, 2.0, 9)),
+            # sharp peak between two nodes
+            (lambda x: 1.0 / (1.0 + ((x - 0.537) / 1e-3) ** 2), np.linspace(0.0, 1.0, 11)),
+        ],
+        ids=["chart-near-horizon", "peak-between-nodes"],
+    )
+    def test_cumulative_fallback_matches_scalar_quad(self, f, nodes):
+        tol = 1e-13
+        counted = self._counted(f)
+        inc = np.diff(cumulative_quad(counted, nodes, tol=tol))
+        ref = np.array([
+            quad(lambda x: float(f(np.asarray([x]))[0]), a, b, max(tol, tol * abs(i)))
+            for a, b, i in zip(nodes[:-1], nodes[1:], inc)
+        ])
+        thresh = np.maximum(tol, tol * np.abs(ref))
+        assert np.all(np.abs(inc - ref) <= thresh)
+        # five calls for the two-panel check, then one per refinement level
+        assert 5 < counted.calls <= 5 + numerics._MAX_QUAD_DEPTH
+
+    def test_cumulative_fallback_batches_split(self, monkeypatch):
+        nodes = np.linspace(0.0, 1.0, 11)
+
+        def f(x):
+            return 1.0 / (1.0 + ((x - 0.537) / 1e-3) ** 2)
+
+        whole = cumulative_quad(f, nodes)
+        monkeypatch.setattr(numerics, "_MAX_BATCH_PANELS", 3)
+        split = cumulative_quad(f, nodes)
+        np.testing.assert_allclose(split, whole, rtol=1e-14, atol=0.0)
+        exact = 1e-3 * (np.arctan((nodes - 0.537) / 1e-3) - np.arctan(-0.537 / 1e-3))
+        np.testing.assert_allclose(whole, exact, rtol=1e-12, atol=1e-12)
+
+    def test_cumulative_nonintegrable_singularity_raises(self):
+        c = 0.3 + 0.1 / 3.0  # between nodes, never a quadrature point
+        counted = self._counted(lambda x: 1.0 / np.abs(x - c))
+        with pytest.raises(QuadratureError):
+            cumulative_quad(counted, np.linspace(0.0, 1.0, 11))
+        # refined deepest first in capped batches: the stuck panel is found without
+        # expanding every level, which would need memory growing geometrically with depth
+        assert counted.calls <= 5 + 4 * numerics._MAX_QUAD_DEPTH
 
     def test_cumulative_order3_rate(self):
         def err(n):
