@@ -204,16 +204,13 @@ def _clip_step(op: MeshOperator, u: np.ndarray, delta_interior: np.ndarray) -> f
     d_u = face_slopes(op, u)
     d_delta = np.diff(delta) / np.diff(op.grid.nodes)
     cap = op.slope_cap / op.q_faces
-    alpha = 1.0
-    for du, dd, c in zip(d_u, d_delta, cap):
-        if dd == 0.0:
-            continue
-        # |du + alpha dd| <= c
-        hi = (c - du) / dd
-        lo = (-c - du) / dd
-        lo, hi = min(lo, hi), max(lo, hi)
-        alpha = min(alpha, hi if hi > 0 else 0.0)
-    return max(min(alpha, 1.0), 0.0)
+    moving = d_delta != 0.0
+    d_u, dd, cap = d_u[moving], d_delta[moving], cap[moving]
+    # |du + alpha dd| <= c holds up to the larger of the two roots
+    hi = (cap - d_u) / dd
+    lo = (-cap - d_u) / dd
+    hi = np.where(hi > lo, hi, lo)
+    return float(np.min(np.where(hi > 0, hi, 0.0), initial=1.0))
 
 
 def _solve_fixed_rhs(problem: DirichletProblem, u0: np.ndarray, damping: float,
@@ -228,7 +225,7 @@ def _solve_fixed_rhs(problem: DirichletProblem, u0: np.ndarray, damping: float,
         lower, diag, upper = _jacobian_bands(op, u)
         delta = tridiag_solve(lower, diag, upper, -r)
         # one sweep of iterative refinement: near-null Jacobians are badly
-        # conditioned and the raw Thomas solve loses digits the Newton
+        # conditioned and a single direct solve loses digits the Newton
         # iteration cannot recover on its own
         lin_res = _tridiag_apply(lower, diag, upper, delta) + r
         delta -= tridiag_solve(lower, diag, upper, lin_res)

@@ -25,7 +25,7 @@ import numpy as np
 from .barriers import ComparisonModel
 from .geometry import StaticModel, base_curvature, modified_bakry_emery
 from .graphs import MeanCurvSpec, RadialGraph
-from .numerics import Antiderivative, Grid, quad, tridiag_solve
+from .numerics import Antiderivative, Grid, quad
 from .reporting import EstimateReport, make_report, precondition_failure
 
 __all__ = [
@@ -280,14 +280,16 @@ def cheeger_profile(model: StaticModel, r_max: float, num: int = 24) -> CheegerP
     return CheegerProfile(radii=radii, ratios=ratios, c_hat=float(np.min(ratios)), assumption=assumption)
 
 
-def dirichlet_lambda1(weight_fn, r_trunc: float, mesh_n: int, left_bc: str = "natural",
-                      max_iter: int = 400) -> float:
+def dirichlet_lambda1(weight_fn, r_trunc: float, mesh_n: int, left_bc: str = "natural") -> float:
     """Lowest Dirichlet eigenvalue of -(1/w)(w v')' on (0, r_trunc).
 
-    Finite differences with face-centred weights plus inverse iteration
-    driven by the Thomas solver.  ``left_bc`` is 'natural' (zero flux, the
-    pole condition) or 'dirichlet'.
+    Finite differences with face-centred weights give A v = lambda M v with
+    A symmetric tridiagonal and M diagonal; the lowest eigenvalue of the
+    symmetrised matrix M^{-1/2} A M^{-1/2} comes from LAPACK.  ``left_bc`` is
+    'natural' (zero flux, the pole condition) or 'dirichlet'.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     if mesh_n < 200:
         raise ValueError("mesh_n >= 200 required")
     ds = r_trunc / mesh_n
@@ -308,32 +310,19 @@ def dirichlet_lambda1(weight_fn, r_trunc: float, mesh_n: int, left_bc: str = "na
         diag[1:] = (wf[:-1] + wf[1:]) / ds**2
         # face between unknowns v_i and v_{i+1} is face i
         upper = -wf[: mesh_n - 1] / ds**2
-        lower = upper.copy()
     elif left_bc == "dirichlet":
         # unknowns v_1 .. v_{n-1}; v_0 = v_n = 0
         mass = wn[1:mesh_n].copy()
         diag = (wf[:-1] + wf[1:]) / ds**2
         upper = -wf[1 : mesh_n - 1] / ds**2
-        lower = upper.copy()
     else:
         raise ValueError("left_bc must be 'natural' or 'dirichlet'")
 
-    n_unknown = mass.size
-    v = np.ones(n_unknown)
-    lam_prev = np.inf
-    for _ in range(max_iter):
-        x = tridiag_solve(lower, diag, upper, mass * v)
-        x = x / np.sqrt(float(np.sum(mass * x * x)))
-        av = np.empty(n_unknown)
-        av[:] = diag * x
-        av[:-1] += upper * x[1:]
-        av[1:] += lower * x[:-1]
-        lam = float(np.sum(x * av)) / float(np.sum(mass * x * x))
-        if abs(lam - lam_prev) <= 1e-13 * max(1.0, abs(lam)):
-            return lam
-        lam_prev = lam
-        v = x
-    raise RuntimeError("inverse iteration for lambda1 did not converge")
+    # M^{-1/2} A M^{-1/2} stays O(1)-scaled however fast the weight grows
+    root = np.sqrt(mass)
+    lam = eigh_tridiagonal(diag / mass, upper / (root[:-1] * root[1:]),
+                           eigvals_only=True, select="i", select_range=(0, 0))
+    return float(lam[0])
 
 
 def lambda1_estimate(model: StaticModel, r_trunc: float, mesh_n: int) -> float:

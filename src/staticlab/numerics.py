@@ -4,7 +4,7 @@ Everything here is double precision, tolerance-explicit and free of hidden
 state: adaptive Simpson quadrature (scalar, and a cumulative form that
 refines unresolved intervals in vectorised batches, one integrand call
 per level), classical RK4 integration, a cyclic Jacobi eigensolver for the
-small symmetric matrices of the pointwise algebra, and a Thomas solver for
+small symmetric matrices of the pointwise algebra, and a LAPACK solver for
 the tridiagonal systems of the radial finite-difference machinery.
 """
 
@@ -385,31 +385,25 @@ def sym_eigen(mat, sym_tol: float = 1e-12, residual_tol: float = 1e-10) -> np.nd
 
 
 def tridiag_solve(lower, diag, upper, rhs) -> np.ndarray:
-    """Thomas-algorithm solution of a tridiagonal system (no pivoting).
+    """Solve a tridiagonal system by LAPACK ``dgtsv`` (LU with partial pivoting).
 
-    ``lower`` and ``upper`` have length n-1; a vanishing pivot raises
-    ``ValueError``.
+    ``lower`` and ``upper`` have length n-1; an exactly singular U factor
+    raises ``ValueError``.
     """
-    c = np.asarray(diag, dtype=float).copy()
+    from scipy.linalg.lapack import dgtsv
+
+    c = np.asarray(diag, dtype=float)
     lo = np.asarray(lower, dtype=float)
     up = np.asarray(upper, dtype=float)
-    d = np.asarray(rhs, dtype=float).copy()
+    d = np.asarray(rhs, dtype=float)
     n = c.size
     if lo.size != n - 1 or up.size != n - 1 or d.size != n:
         raise ValueError("tridiag_solve: inconsistent band lengths")
-    scale = max(1.0, float(np.max(np.abs(c))))
-    for i in range(1, n):
-        if abs(c[i - 1]) < 1e-300 * scale:
-            raise ValueError(f"tridiag_solve: zero pivot at row {i - 1}")
-        w = lo[i - 1] / c[i - 1]
-        c[i] -= w * up[i - 1]
-        d[i] -= w * d[i - 1]
-    if abs(c[n - 1]) < 1e-300 * scale:
-        raise ValueError(f"tridiag_solve: zero pivot at row {n - 1}")
-    x = np.empty(n)
-    x[n - 1] = d[n - 1] / c[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (d[i] - up[i] * x[i + 1]) / c[i]
+    if n == 1:  # the LAPACK wrapper rejects empty off-diagonal bands
+        lo = up = np.zeros(1)
+    _, _, _, x, info = dgtsv(lo, c, up, d)
+    if info > 0:
+        raise ValueError(f"tridiag_solve: zero pivot at row {info - 1}")
     return x
 
 

@@ -8,6 +8,7 @@ from staticlab.elliptic import (
     MeshOperator,
     NewtonStagnationError,
     SlopeCapError,
+    _clip_step,
     comparison_check,
     divergence_telescope,
     export_solution_csv,
@@ -149,6 +150,55 @@ class TestNewton:
         u2[k] += 1e-4
         r1 = residual(catenoid_op, u2, np.zeros(len(catenoid_op.grid)))
         assert r1[k - 1] < r0[k - 1]
+
+
+def clip_step_reference(op, u, delta_interior):
+    """Face-by-face largest step fraction keeping |slope| within the cap."""
+    delta = np.concatenate([[0.0], delta_interior, [0.0]])
+    s = op.grid.nodes
+    alpha = 1.0
+    for i in range(len(s) - 1):
+        ds = s[i + 1] - s[i]
+        du = (u[i + 1] - u[i]) / ds
+        dd = (delta[i + 1] - delta[i]) / ds
+        c = op.slope_cap / op.q_faces[i]
+        if dd == 0.0:
+            continue
+        hi = max((c - du) / dd, (-c - du) / dd)
+        alpha = min(alpha, hi if hi > 0 else 0.0)
+    return max(min(alpha, 1.0), 0.0)
+
+
+class TestClipStep:
+    def test_matches_reference_on_random_states(self, catenoid_op):
+        rng = np.random.default_rng(11)
+        n = len(catenoid_op.grid)
+        ds = np.diff(catenoid_op.grid.nodes)
+        cap = catenoid_op.slope_cap / catenoid_op.q_faces
+        for scale in (1e-6, 1e-3, 1e-1, 1.0, 10.0):
+            for _ in range(25):
+                u = np.concatenate([[0.0], np.cumsum(rng.uniform(-0.9, 0.9) * cap * ds)])
+                delta = scale * rng.normal(size=n - 2)
+                flat = rng.integers(1, n - 12)
+                delta[flat:flat + 10] = delta[flat]  # a run of faces with dd == 0
+                got = _clip_step(catenoid_op, u, delta)
+                assert got == clip_step_reference(catenoid_op, u, delta)
+
+    def test_face_at_cap_blocks_outward_step(self, catenoid_op):
+        n = len(catenoid_op.grid)
+        ds = np.diff(catenoid_op.grid.nodes)
+        cap = catenoid_op.slope_cap / catenoid_op.q_faces
+        u = np.concatenate([[0.0], np.cumsum(0.5 * cap * ds)])
+        u[101:] += (cap[100] - 0.5 * cap[100]) * ds[100]  # face 100 sits at the cap
+        delta = np.zeros(n - 2)
+        delta[100:] = 1e-3  # steepens face 100; the last face only flattens
+        expected = clip_step_reference(catenoid_op, u, delta)
+        assert expected < 1e-9
+        assert _clip_step(catenoid_op, u, delta) == expected
+
+    def test_zero_step_is_unclipped(self, catenoid_op):
+        u = catenoid_exact(catenoid_op.grid.nodes)
+        assert _clip_step(catenoid_op, u, np.zeros(len(catenoid_op.grid) - 2)) == 1.0
 
 
 class TestComparison:

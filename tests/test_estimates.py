@@ -210,6 +210,23 @@ class TestLambda1:
         with pytest.raises(ValueError):
             lambda1_estimate(hyperbolic_model, 10.0, 100)
 
+    def test_large_balls_converge(self):
+        # the weight reaches sinh(160); the values must still decrease toward
+        # the spectral bottom 1/4 of H^2
+        model = StaticModel(RadialBase(2, hyperbolic_profile(1.0), (0.0, 160.0)), constant_warp(1.0))
+        lam40, lam80, lam160 = (lambda1_estimate(model, r, 100 * int(r)) for r in (40.0, 80.0, 160.0))
+        assert 0.25 < lam160 < lam80 < lam40
+
+    def test_mesh_convergence_second_order(self, hyperbolic_model):
+        lams = [lambda1_estimate(hyperbolic_model, 10.0, n) for n in (400, 800, 1600, 3200)]
+        diffs = np.diff(lams)
+        for ratio in diffs[:-1] / diffs[1:]:
+            assert 3.8 <= ratio <= 4.2
+
+    def test_b20_value_pinned(self, hyperbolic_model):
+        # B_20 value of this discretisation; it does not depend on the eigensolver
+        assert abs(lambda1_estimate(hyperbolic_model, 20.0, 2000) - 0.2716793471224135) <= 1e-10
+
 
 class TestSalavessa:
     def test_near_sharp_cmc(self, hyperbolic_model):

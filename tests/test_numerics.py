@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from staticlab import numerics
@@ -250,22 +250,34 @@ class TestTridiag:
         assert tridiag_solve([], [4.0], [], [8.0])[0] == 2.0
 
     def test_zero_pivot(self):
+        # [[1, 1], [1, 1]] is singular whatever the pivoting
         with pytest.raises(ValueError, match="zero pivot"):
-            tridiag_solve([1.0], [0.0, 1.0], [1.0], [1.0, 1.0])
+            tridiag_solve([1.0], [1.0, 1.0], [1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="zero pivot"):
+            tridiag_solve([], [0.0], [], [1.0])
 
-    @given(st.integers(3, 30), st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_residual_small(self, n, seed):
+    def test_row_swap(self):
+        # [[0, 1], [1, 1]] is nonsingular but has a zero leading entry, so
+        # it needs partial pivoting
+        x = tridiag_solve([1.0], [0.0, 1.0], [1.0], [1.0, 1.0])
+        assert x.tolist() == [0.0, 1.0]
+
+    @given(st.integers(3, 30), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_residual_small(self, n, seed, dominant):
         rng = np.random.default_rng(seed)
         lower = rng.uniform(-1, 1, n - 1)
         upper = rng.uniform(-1, 1, n - 1)
-        diag = 3.0 + rng.uniform(0, 1, n)  # diagonally dominant
+        diag = 3.0 + rng.uniform(0, 1, n) if dominant else rng.uniform(-1, 1, n)
         rhs = rng.uniform(-10, 10, n)
+        dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        cond = np.linalg.cond(dense)
+        assume(cond < 1e8)
         x = tridiag_solve(lower, diag, upper, rhs)
-        res = diag * x
-        res[:-1] += upper * x[1:]
-        res[1:] += lower * x[:-1]
-        assert np.max(np.abs(res - rhs)) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
+        x_ref = np.linalg.solve(dense, rhs)
+        scale = np.linalg.norm(x_ref)
+        assert np.max(np.abs(dense @ x - rhs)) <= 1e-13 * max(1.0, np.linalg.norm(rhs), scale)
+        assert np.linalg.norm(x - x_ref) <= 1e-14 * cond * scale
 
 
 def test_fd_derivative_fourth_order():
