@@ -68,16 +68,6 @@ class ComparisonModel:
         rg = np.sqrt(self.G0)
         return np.sinh(rg * t) / rg
 
-    def kp(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.G0 == 0.0:
-            return np.ones_like(t)
-        return np.cosh(np.sqrt(self.G0) * t)
-
-    def series_check(self, eps: float = 1e-6) -> float:
-        """|k(eps)/eps - 1|, the k'(0) = 1 normalisation residual."""
-        return abs(float(self.k(eps)) / eps - 1.0)
-
 
 @dataclass(frozen=True)
 class BarrierFunction:

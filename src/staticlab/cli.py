@@ -22,7 +22,7 @@ import numpy as np
 
 from . import barriers, elliptic, estimates, geometry, graphs
 from .numerics import Grid
-from .reporting import reports_to_csv, reports_to_text, svg_polyline, write_reports_csv
+from .reporting import make_report, reports_to_text, svg_polyline, write_reports_csv
 
 TASK_KINDS = ("solve-graph", "barrier", "verify", "estimates", "growth", "angle-bound", "elliptic", "suite")
 
@@ -192,8 +192,6 @@ def _task_barrier(cp, model, outdir, tol_scale, verify: bool):
     barriers.export_barrier_csv(b, os.path.join(outdir, "barrier.csv"))
     if not verify:
         notes = tuple(b.warnings)
-        from .reporting import make_report
-
         return [make_report("barrier-constructed", lhs=b.C, rhs=1.0, margin=1.0 - b.C, tol=0.0,
                             grid_meta=f"kind={b.kind} beta1={b.beta1!r}", notes=notes)]
     return barriers.verify_barrier(b, tol_scale=tol_scale)
@@ -214,8 +212,6 @@ def _task_estimates(cp, model, outdir, tol_scale):
     prof = estimates.cheeger_profile(model, _getfloat(cp, "task", "cheeger_rmax", 20.0))
     lam = estimates.lambda1_estimate(model, _getfloat(cp, "task", "lambda1_rtrunc", 15.0),
                                      _getint(cp, "task", "lambda1_n", 1500))
-    from .reporting import make_report
-
     reports.append(make_report(
         "cheeger-spectral-inequality", lhs=0.25 * prof.c_hat**2, rhs=lam,
         margin=lam - 0.25 * prof.c_hat**2, tol=0.03 * tol_scale,
@@ -230,8 +226,6 @@ def _task_estimates(cp, model, outdir, tol_scale):
 
 def _task_growth(cp, model, outdir, tol_scale):
     gd = estimates.growth_diagnostics(model, _getfloat(cp, "task", "r_max", 100.0))
-    from .reporting import make_report
-
     reports = []
     for name, value, trend in gd.rows():
         reports.append(make_report(name, lhs=value, rhs=float("inf"), margin=0.0, tol=0.0,
@@ -259,8 +253,6 @@ def _task_elliptic(cp, model, outdir, tol_scale):
     problem = elliptic.DirichletProblem(op, rhs, bc)
     u = elliptic.newton_solve(problem, tol=1e-9 * tol_scale)
     elliptic.export_solution_csv(op, u, rhs, os.path.join(outdir, "solution.csv"))
-    from .reporting import make_report
-
     res = float(np.max(np.abs(elliptic.residual(op, u, rhs))))
     tele = elliptic.divergence_telescope(op, u, rhs)
     return [

@@ -34,9 +34,7 @@ __all__ = [
     "divergence_telescope",
     "newton_solve",
     "comparison_check",
-    "strongmax_probe",
     "export_solution_csv",
-    "import_solution_csv",
 ]
 
 DEFAULT_SLOPE_CAP = 1.0 - 1e-6
@@ -116,6 +114,17 @@ class MeshOperator:
         return 0.5 * (s[2:] - s[:-2])
 
 
+def _node_values(u) -> np.ndarray:
+    """Node values of a SampledFunction, or ``u`` itself as a float array."""
+    return u.values if isinstance(u, SampledFunction) else np.asarray(u, dtype=float)
+
+
+def _load(op: MeshOperator, rhs) -> np.ndarray:
+    """The load on the operator's nodes; a scalar is taken as constant."""
+    rv = np.asarray(rhs, dtype=float)
+    return np.full(len(op.grid), float(rv)) if rv.size == 1 else rv
+
+
 def face_slopes(op: MeshOperator, u: np.ndarray) -> np.ndarray:
     return np.diff(np.asarray(u, dtype=float)) / np.diff(op.grid.nodes)
 
@@ -134,10 +143,8 @@ def residual(op: MeshOperator, u, rhs) -> np.ndarray:
 
     ``u`` may be a SampledFunction or an array on the operator grid.
     """
-    uv = u.values if isinstance(u, SampledFunction) else np.asarray(u, dtype=float)
-    rv = np.asarray(rhs, dtype=float)
-    if rv.size == 1:
-        rv = np.full(len(op.grid), float(rv))
+    uv = _node_values(u)
+    rv = _load(op, rhs)
     phi = _face_flux(op, uv)
     flux = op.w_faces * phi
     return (flux[1:] - flux[:-1]) / (op.w_nodes[1:-1] * op.ds_cells) - rv[1:-1]
@@ -149,10 +156,8 @@ def divergence_telescope(op: MeshOperator, u, rhs) -> float:
     sum_i w_i ds_i r_i telescopes to the boundary flux difference minus the
     integrated load; the skeleton of the continuum divergence identity.
     """
-    uv = u.values if isinstance(u, SampledFunction) else np.asarray(u, dtype=float)
-    rv = np.asarray(rhs, dtype=float)
-    if rv.size == 1:
-        rv = np.full(len(op.grid), float(rv))
+    uv = _node_values(u)
+    rv = _load(op, rhs)
     r = residual(op, uv, rv)
     flux = op.w_faces * _face_flux(op, uv)
     lhs = float(np.sum(op.w_nodes[1:-1] * op.ds_cells * r))
@@ -167,9 +172,7 @@ class DirichletProblem:
     bc: tuple[float, float]
 
     def __post_init__(self):
-        rv = np.asarray(self.rhs, dtype=float)
-        if rv.size == 1:
-            rv = np.full(len(self.operator.grid), float(rv))
+        rv = _load(self.operator, self.rhs)
         object.__setattr__(self, "rhs", rv)
         if rv.size != len(self.operator.grid):
             raise ValueError("rhs must be sampled on the grid")
@@ -292,8 +295,8 @@ def comparison_check(op: MeshOperator, u, v, rhs_u=0.0, rhs_v=0.0,
     Precondition violations (operator ordering or boundary ordering) yield a
     distinct precondition-failure verdict rather than a comparison failure.
     """
-    uv = u.values if isinstance(u, SampledFunction) else np.asarray(u, dtype=float)
-    vv = v.values if isinstance(v, SampledFunction) else np.asarray(v, dtype=float)
+    uv = _node_values(u)
+    vv = _node_values(v)
     try:
         ru = residual(op, uv, rhs_u)
         rv = residual(op, vv, rhs_v)
@@ -319,46 +322,10 @@ def comparison_check(op: MeshOperator, u, v, rhs_u=0.0, rhs_v=0.0,
     )
 
 
-def strongmax_probe(op: MeshOperator, u) -> EstimateReport:
-    """Discrete strong-maximum probe: an interior zero forces constancy.
-
-    Never raises: unmet preconditions (u >= 0, op[u] <= 0) are reported as a
-    precondition-failure diagnostic.
-    """
-    uv = u.values if isinstance(u, SampledFunction) else np.asarray(u, dtype=float)
-    notes = []
-    if np.any(uv < -1e-12):
-        return precondition_failure(
-            "strong-maximum", tol=1e-10, notes=(f"u has negative values (min {float(np.min(uv)):.3e})",),
-        )
-    try:
-        opu = residual(op, uv, np.zeros(len(op.grid)))
-    except SlopeCapError as exc:
-        return precondition_failure("strong-maximum", tol=1e-10, notes=(str(exc),))
-    if np.any(opu > 1e-10):
-        return precondition_failure(
-            "strong-maximum", tol=1e-10,
-            notes=(f"op[u] <= 0 violated by {float(np.max(opu)):.3e}: supersolution property lost",),
-        )
-    interior_min = float(np.min(uv[1:-1]))
-    if interior_min <= 1e-12:
-        spread = float(np.max(uv))
-        return make_report(
-            "strong-maximum", lhs=spread, rhs=0.0, margin=1e-10 - spread, tol=0.0,
-            notes=("interior zero found: asserting constancy",),
-        )
-    return make_report(
-        "strong-maximum", lhs=interior_min, rhs=0.0, margin=interior_min, tol=1e-10,
-        notes=("no interior zero",),
-    )
-
-
 def export_solution_csv(op: MeshOperator, u, rhs, path) -> None:
     """Write `s,u` plus a sidecar .meta.txt with the q, w, H descriptors."""
-    uv = u.values if isinstance(u, SampledFunction) else np.asarray(u, dtype=float)
-    rv = np.asarray(rhs, dtype=float)
-    if rv.size == 1:
-        rv = np.full(len(op.grid), float(rv))
+    uv = _node_values(u)
+    rv = _load(op, rhs)
     with open(path, "w", newline="\n") as fh:
         fh.write("s,u\n")
         for s, val in zip(op.grid.nodes, uv):
@@ -370,18 +337,3 @@ def export_solution_csv(op: MeshOperator, u, rhs, path) -> None:
         for i, s in enumerate(op.grid.nodes):
             fh.write(f"{float(s)!r} {float(op.w_nodes[i])!r} "
                      f"{float(q[min(i, q.size - 1)])!r} {float(rv[i])!r}\n")
-
-
-def import_solution_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    s_list, u_list = [], []
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != "s,u":
-            raise ValueError("solution CSV must have header 's,u'")
-        for line in fh:
-            if not line.strip():
-                continue
-            a, b = line.split(",")
-            s_list.append(float(a))
-            u_list.append(float(b))
-    return np.asarray(s_list), np.asarray(u_list)

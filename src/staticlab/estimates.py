@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barriers import ComparisonModel
+from .barriers import ComparisonModel, _improper_trend
 from .geometry import StaticModel, base_curvature, modified_bakry_emery
 from .graphs import MeanCurvSpec, RadialGraph
-from .numerics import Antiderivative, Grid, quad
-from .reporting import EstimateReport, make_report, precondition_failure
+from .numerics import Antiderivative, quad
+from .reporting import EstimateReport, make_report
 
 __all__ = [
     "sphere_area",
@@ -158,7 +158,7 @@ def mean_H_average(model: StaticModel, spec, r: float) -> float:
     def num(s):
         g, _, _ = model.base.profile.evaluate(s)
         h, _, _ = model.warp.evaluate(s)
-        return float(h_fn(np.asarray([s]))[0]) * h * g ** (model.m - 1)
+        return h_fn(s) * h * g ** (model.m - 1)
 
     lo = model.base.s_domain[0]
     numerator = quad(num, lo, r, tol=1e-12)
@@ -194,7 +194,7 @@ def flux_identity_check(graph: RadialGraph, spec, s0: float, s1: float,
     def integrand(s):
         g, _, _ = model.base.profile.evaluate(s)
         h, _, _ = model.warp.evaluate(s)
-        return float(h_fn(np.asarray([s]))[0]) * h * g ** (model.m - 1)
+        return h_fn(s) * h * g ** (model.m - 1)
 
     if isinstance(spec, MeanCurvSpec) and spec.is_zero:
         rhs = 0.0
@@ -218,7 +218,7 @@ def log_volume_identity_check(model: StaticModel, R: float, r: float,
     if r == R:
         rhs = 0.0
     else:
-        rhs = quad(lambda s: float(vc.bvol(s)) / float(vc.vol(s)), R, r, tol=1e-12)
+        rhs = quad(lambda s: vc.bvol(s) / vc.vol(s), R, r, tol=1e-12)
     margin = abs(lhs - rhs)
     return make_report(
         "log-volume-identity", lhs=lhs, rhs=rhs, margin=tol - margin, tol=0.0,
@@ -428,18 +428,6 @@ class GrowthDiagnostics:
         ]
 
 
-def _increment_trend(i0: float, i1: float, i2: float) -> str:
-    d1, d2 = i1 - i0, i2 - i1
-    if d1 <= 0:
-        return "inconclusive"
-    ratio = d2 / d1
-    if ratio >= 0.95:
-        return "diverging"
-    if ratio <= 0.75:
-        return "converging"
-    return "inconclusive"
-
-
 def _limit_trend(v_half: float, v_full: float) -> str:
     change = abs(v_full - v_half) / max(1.0, abs(v_full))
     if change <= 0.02:
@@ -474,7 +462,7 @@ def growth_diagnostics(model: StaticModel, r_max: float) -> GrowthDiagnostics:
         acc = 0.0
         lo = r0
         for hi in decades:
-            acc += quad(lambda s: 1.0 / float(vc.bvol(s, weight_power)), lo, hi, tol=1e-11)
+            acc += quad(lambda s: 1.0 / vc.bvol(s, weight_power), lo, hi, tol=1e-11)
             vals.append(acc)
             lo = hi
         return vals
@@ -485,8 +473,8 @@ def growth_diagnostics(model: StaticModel, r_max: float) -> GrowthDiagnostics:
     return GrowthDiagnostics(
         volume_G=(v_g, _limit_trend(v_g_half, v_g)),
         linfi=(linfi_v, _limit_trend(linfi_half, linfi_v)),
-        notl1=(notl1_vals[-1], _increment_trend(*notl1_vals)),
-        hnotl1=(hnotl1_vals[-1], _increment_trend(*hnotl1_vals)),
+        notl1=(notl1_vals[-1], _improper_trend(notl1_vals)),
+        hnotl1=(hnotl1_vals[-1], _improper_trend(hnotl1_vals)),
     )
 
 

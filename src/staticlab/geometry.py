@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import Grid, cumulative_quad
+from .numerics import cumulative_quad
 
 __all__ = [
     "RadialProfile",
@@ -40,12 +40,9 @@ __all__ = [
     "custom_warp",
     "schwarzschild_s_of_rho",
     "schwarzschild_rho_of_s",
-    "eval_profile",
     "base_curvature",
-    "radial_hessian",
     "spacetime_ricci",
     "modified_bakry_emery",
-    "admissible_G0",
 ]
 
 
@@ -402,12 +399,6 @@ class CurvatureSample:
         return abs(from_ric - from_sec)
 
 
-def eval_profile(base: RadialBase, s):
-    """(g, g', g'') of the base profile at s, domain-checked."""
-    base.check_domain(s)
-    return base.profile.evaluate(s)
-
-
 def base_curvature(base: RadialBase, s) -> CurvatureSample:
     """Sectional and Ricci frame components of the base at s.
 
@@ -426,18 +417,6 @@ def base_curvature(base: RadialBase, s) -> CurvatureSample:
         ric_rr=(m - 1) * k_rad,
         ric_tt=k_rad + (m - 2) * k_tan,
     )
-
-
-def radial_hessian(base: RadialBase, dphi, d2phi, s):
-    """Frame Hessian components and Laplacian of a radial function.
-
-    ``dphi`` and ``d2phi`` are callables for phi' and phi''.  Returns
-    (phi'', (g'/g) phi', laplacian) with laplacian = phi'' + (m-1)(g'/g) phi'.
-    """
-    g, gp, _ = base.profile.evaluate(s)
-    hrr = d2phi(s)
-    htt = (gp / g) * dphi(s)
-    return hrr, htt, hrr + (base.m - 1) * htt
 
 
 def curvature_sample(model: StaticModel, s) -> CurvatureSample:
@@ -494,17 +473,3 @@ def modified_bakry_emery(model: StaticModel, s) -> tuple[float, float]:
     """The two frame eigenvalues of Ric - Hess(h)/h at s (radial, tangential)."""
     ric = spacetime_ricci(model, s)
     return ric.hor_rad, ric.hor_tan
-
-
-def admissible_G0(model: StaticModel, s_samples) -> float:
-    """Smallest G0 >= 0 with Ric - Hess(h)/h >= -m G0 on the sampled set.
-
-    The paper-level bound is pointwise in the minimum of the two frame
-    eigenvalues; which eigenvalue drives it when they differ is reported by
-    callers, not guessed here.
-    """
-    worst = 0.0
-    for s in np.atleast_1d(np.asarray(s_samples, dtype=float)):
-        lo = min(modified_bakry_emery(model, float(s)))
-        worst = min(worst, lo)
-    return max(0.0, -worst / model.m)

@@ -23,24 +23,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import StaticModel
-from .numerics import Grid, cumulative_order3, cumulative_quad, fd_derivative, quad
+from .numerics import Grid, cumulative_order3, cumulative_quad, fd_derivative
 from .reporting import EstimateReport, make_report
 
 __all__ = [
     "MeanCurvSpec",
     "constant_H",
     "zero_H",
-    "radial_H",
     "Anchor",
     "RadialGraph",
-    "AngleProfile",
     "FluxBlowUpError",
     "flux_from_H",
     "slope_from_flux",
     "solve_radial_graph",
-    "oracle_catenoid",
     "gauge_consistency_check",
-    "angle_profile",
     "export_graph_csv",
 ]
 
@@ -78,10 +74,6 @@ def constant_H(H0: float) -> MeanCurvSpec:
 
 def zero_H() -> MeanCurvSpec:
     return MeanCurvSpec("zero")
-
-
-def radial_H(fn) -> MeanCurvSpec:
-    return MeanCurvSpec("radial", H_fn=fn)
 
 
 @dataclass(frozen=True)
@@ -145,18 +137,6 @@ class RadialGraph:
         if abs(self.grid.nodes[i] - s) > 1e-9 * max(1.0, abs(s)):
             raise ValueError(f"s = {s!r} is not a grid node")
         return i
-
-
-@dataclass(frozen=True)
-class AngleProfile:
-    grid: Grid
-    cosh_theta: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.cosh_theta, dtype=float)
-        object.__setattr__(self, "cosh_theta", arr)
-        if np.any(arr < 1.0 - 1e-12):
-            raise ValueError("cosh(theta) must be >= 1")
 
 
 def _anchor_index(grid: Grid, anchor: Anchor) -> int:
@@ -228,24 +208,6 @@ def solve_radial_graph(model: StaticModel, spec: MeanCurvSpec, anchor: Anchor, g
     idx = _anchor_index(grid, anchor)
     tau = anchor.tau0 + tau - tau[idx]
     return RadialGraph(model, grid, tau, flux, slope, cosh_theta, anchor)
-
-
-def oracle_catenoid(m: int, c: float, s):
-    """Closed-form slope/angle of the maximal graph with flux c over flat base.
-
-    tau' = c / sqrt(s^{2(m-1)} + c^2), cosh theta = sqrt(s^{2(m-1)} + c^2) / s^{m-1}.
-    """
-    s_arr = np.asarray(s, dtype=float)
-    p = s_arr ** (2 * (m - 1))
-    slope = c / np.sqrt(p + c * c)
-    cosh_theta = np.sqrt(p + c * c) / s_arr ** (m - 1)
-    if np.isscalar(s) or s_arr.ndim == 0:
-        return float(slope), float(cosh_theta)
-    return slope, cosh_theta
-
-
-def angle_profile(graph: RadialGraph) -> AngleProfile:
-    return AngleProfile(graph.grid, graph.cosh_theta.copy())
 
 
 def gauge_consistency_check(graph: RadialGraph, tol: float = 1e-6) -> EstimateReport:

@@ -1,16 +1,16 @@
 """Deterministic numerical primitives shared by the whole laboratory.
 
 Everything here is double precision, tolerance-explicit and free of hidden
-state: adaptive Simpson quadrature (scalar, and a cumulative form that
-refines unresolved intervals in vectorised batches, one integrand call
-per level), classical RK4 integration, a cyclic Jacobi eigensolver for the
-small symmetric matrices of the pointwise algebra, and a LAPACK solver for
-the tridiagonal systems of the radial finite-difference machinery.
+state.  Quadrature is one batched adaptive Simpson refiner: ``quad`` hands
+it a single panel, ``cumulative_quad`` every interval that fails its
+two-panel check, and each refinement level calls the integrand once on an
+array.  Tridiagonal systems of the radial finite-difference machinery go to
+LAPACK.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +25,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, last_estimate: float):
         super().__init__(message)
         self.last_estimate = last_estimate
-
-
-class OdeBlowUpError(RuntimeError):
-    """RK4 trajectory left the finite range; carries the offending abscissa."""
-
-    def __init__(self, s: float):
-        super().__init__(f"non-finite ODE state encountered at s = {s!r}")
-        self.s = s
 
 
 @dataclass(frozen=True)
@@ -102,50 +94,33 @@ def _simpson(fa, fm, fb, h):
 def quad(f, a: float, b: float, tol: float = DEFAULT_QUAD_TOL) -> float:
     """Adaptive composite Simpson integral of ``f`` over [a, b].
 
-    The absolute error estimate (Richardson, |S2 - S1|/15 per panel) is kept
-    below ``tol``.  Raises :class:`QuadratureError` with the last estimate if
-    the refinement depth cap is reached.
+    ``f`` must accept numpy arrays: [a, b] is one panel for the batched
+    refiner, which calls ``f`` once per refinement level.  The absolute
+    error estimate (Richardson, |S2 - S1|/15 per panel) is kept below
+    ``tol``.  Raises :class:`QuadratureError` with the last estimate if the
+    refinement depth cap or the width floor is reached.
     """
     if not a < b:
         raise ValueError("quad requires a < b")
     if not tol > 0:
         raise ValueError("quad requires tol > 0")
-
-    def rec(x0, x2, f0, f1, f2, whole, tol_local, depth):
-        x1 = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + x1)
-        xr = 0.5 * (x1 + x2)
-        fl = f(xl)
-        fr = f(xr)
-        left = _simpson(f0, fl, f1, x1 - x0)
-        right = _simpson(f1, fr, f2, x2 - x1)
-        err = (left + right - whole) / 15.0
-        if abs(err) <= tol_local:
-            return left + right + err
-        if depth >= _MAX_QUAD_DEPTH or (x2 - x0) <= 4e-16 * max(1.0, abs(x0), abs(x2)):
-            raise QuadratureError(
-                f"quad: no convergence on [{x0}, {x2}] after depth {depth}",
-                last_estimate=left + right + err,
-            )
-        return rec(x0, x1, f0, fl, f1, left, 0.5 * tol_local, depth + 1) + rec(
-            x1, x2, f1, fr, f2, right, 0.5 * tol_local, depth + 1
-        )
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = _simpson(fa, fm, fb, b - a)
-    return rec(a, b, fa, fm, fb, whole, tol, 0)
+    x0, x2 = np.array([a]), np.array([b])
+    f0, fm, f2 = np.asarray(f(np.array([a, 0.5 * (a + b), b])), dtype=float)[:, None]
+    whole = _simpson(f0, fm, f2, x2 - x0)
+    return float(_adaptive_simpson_batch(f, x0, x2, f0, fm, f2, whole, np.array([tol]))[0])
 
 
 def _adaptive_simpson_batch(f, x0, x2, f0, fm, f2, whole, tol):
     """Adaptive Simpson integral of ``f`` over each panel [x0_i, x2_i], batched.
 
-    Same panel rule as :func:`quad` (``whole`` is each panel's one-panel
-    Simpson value, ``tol`` its error tolerance), but each step evaluates
-    ``f`` once on the quarter points of a whole batch of unresolved panels.
-    Batches are refined deepest first and capped at ``_MAX_BATCH_PANELS``:
-    near a non-integrable singularity the unresolved panels multiply with
-    every level, and going deep first bounds memory and finds the panel that
-    cannot be resolved as early as the scalar recursion does.
+    ``whole`` is each panel's one-panel Simpson value and ``tol`` its error
+    tolerance; a panel is accepted when its Richardson estimate
+    |S2 - S1|/15 is within ``tol``, otherwise split with ``tol`` halved.
+    Each step evaluates ``f`` once on the quarter points of a whole batch of
+    unresolved panels.  Batches are refined deepest first and capped at
+    ``_MAX_BATCH_PANELS``: near a non-integrable singularity the unresolved
+    panels multiply with every level, and going deep first bounds memory and
+    reaches the panel that cannot be resolved after one call per level.
     """
     total = np.zeros(x0.size)
     stack = [(0, x0, x2, f0, fm, f2, whole, tol, np.arange(x0.size))]
@@ -194,9 +169,9 @@ def cumulative_quad(f, nodes: np.ndarray, tol: float = 1e-13) -> np.ndarray:
 
     ``f`` must accept numpy arrays.  Each interval gets a two-panel Simpson
     value with a Richardson error check.  Intervals failing the check are
-    refined together by adaptive Simpson under the panel rule of
-    :func:`quad` (tolerance halved per level, same depth cap and width
-    floor), with ``f`` called once per refinement level on the quarter
+    refined together by the adaptive Simpson refiner of :func:`quad`
+    (tolerance halved per level, same depth cap and width floor), with
+    ``f`` called once per refinement level on the quarter
     points of all unresolved panels (in batches of at most
     ``_MAX_BATCH_PANELS``).  Raises :class:`QuadratureError` when a panel
     cannot be resolved.
@@ -301,87 +276,6 @@ class Antiderivative:
         inc = h * (f0 + 4.0 * f1 + 2.0 * f2 + 4.0 * f3 + f4) / 12.0
         out = self.values[idx] + inc
         return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
-
-
-def ode_solve(rhs, y0, span, step: float) -> list[SampledFunction]:
-    """Classical fourth-order Runge-Kutta on a uniform grid over ``span``.
-
-    Returns one :class:`SampledFunction` per state component.  The step is
-    shrunk if needed so the grid has at least 9 nodes and hits the right
-    endpoint exactly.
-    """
-    a, b = float(span[0]), float(span[1])
-    if not step > 0:
-        raise ValueError("ode_solve requires step > 0")
-    n = max(int(np.ceil((b - a) / step)), 8)
-    h = (b - a) / n
-    s = np.linspace(a, b, n + 1)
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    traj = np.empty((n + 1, y.size))
-    traj[0] = y
-    for i in range(n):
-        si = s[i]
-        k1 = np.asarray(rhs(si, y), dtype=float)
-        k2 = np.asarray(rhs(si + 0.5 * h, y + 0.5 * h * k1), dtype=float)
-        k3 = np.asarray(rhs(si + 0.5 * h, y + 0.5 * h * k2), dtype=float)
-        k4 = np.asarray(rhs(si + h, y + h * k3), dtype=float)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise OdeBlowUpError(s[i + 1])
-        traj[i + 1] = y
-    grid = Grid(s, "uniform")
-    return [SampledFunction(grid, traj[:, j]) for j in range(y.size)]
-
-
-def sym_eigen(mat, sym_tol: float = 1e-12, residual_tol: float = 1e-10) -> np.ndarray:
-    """Eigenvalues of a small symmetric matrix via cyclic Jacobi rotations.
-
-    Sorted descending by square (ties broken toward the larger value).  The
-    rotation loop is deterministic; eigenpair residuals ||A v - lambda v||
-    are checked against ``residual_tol`` before returning.
-    """
-    a = np.array(mat, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("sym_eigen needs a square matrix")
-    n = a.shape[0]
-    if n > 8:
-        raise ValueError("sym_eigen is limited to n <= 8")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a - a.T)) > sym_tol * scale:
-        raise ValueError("sym_eigen: input is not symmetric within tolerance")
-    a = 0.5 * (a + a.T)
-    a0 = a.copy()
-    v = np.eye(n)
-    for _ in range(64):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    lams = np.diag(a)
-    order = np.lexsort((-lams, -lams**2))
-    lams = lams[order]
-    v = v[:, order]
-    for k in range(n):
-        res = np.linalg.norm(a0 @ v[:, k] - lams[k] * v[:, k])
-        if res > residual_tol * scale:
-            raise RuntimeError(f"sym_eigen: eigenpair residual {res:.3e} too large")
-    return lams
 
 
 def tridiag_solve(lower, diag, upper, rhs) -> np.ndarray:

@@ -18,13 +18,10 @@ from .geometry import StaticModel, curvature_sample
 __all__ = [
     "SymForm",
     "Curv4Tensor",
-    "GradHessPoint",
     "kulkarni_nomizu",
     "static_riemann",
-    "coercivity_gap",
-    "pseudo_jacobi_gap",
+    "coercivity_gap_batch",
     "pseudo_jacobi_gap_batch",
-    "project_a_tracefree",
     "project_a_tracefree_batch",
     "newton_gap",
     "sample_gradhess_batch",
@@ -146,21 +143,11 @@ def static_riemann(model: StaticModel, s) -> Curv4Tensor:
     return Curv4Tensor(riem + correction.entries, eps=eps)
 
 
-def coercivity_gap(x, y) -> float:
-    """<X/sqrt(1-|X|^2) - Y/sqrt(1-|Y|^2), X - Y>, nonnegative for |X|,|Y| < 1."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    nx = float(np.dot(x, x))
-    ny = float(np.dot(y, y))
-    if nx >= 1.0 or ny >= 1.0:
-        raise ValueError("coercivity_gap needs |X| < 1 and |Y| < 1")
-    fx = x / np.sqrt(1.0 - nx)
-    fy = y / np.sqrt(1.0 - ny)
-    return float(np.dot(fx - fy, x - y))
-
-
 def coercivity_gap_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorised coercivity gaps for row-stacked point pairs."""
+    """<X/sqrt(1-|X|^2) - Y/sqrt(1-|Y|^2), X - Y> for each row pair (X, Y).
+
+    Nonnegative for |X|, |Y| < 1; a row on or outside the unit ball raises.
+    """
     nx = np.sum(xs * xs, axis=1)
     ny = np.sum(ys * ys, axis=1)
     if np.any(nx >= 1.0) or np.any(ny >= 1.0):
@@ -170,65 +157,13 @@ def coercivity_gap_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.sum((fx - fy) * (xs - ys), axis=1)
 
 
-@dataclass(frozen=True)
-class GradHessPoint:
-    """Pointwise gradient/Hessian state for the pseudo-Jacobi inequality.
-
-    Derived data: Theta = 1/sqrt(1-|u|^2), a_up = id + Theta^2 u(x)u,
-    a_down = id - u(x)u (mutually inverse), B = a_up . hess.
-    """
-
-    m: int
-    u_vec: np.ndarray
-    hess_u: SymForm
-    alpha: float
-
-    def __post_init__(self):
-        u = np.asarray(self.u_vec, dtype=float)
-        object.__setattr__(self, "u_vec", u)
-        if u.shape != (self.m,) or self.hess_u.n != self.m:
-            raise ValueError("GradHessPoint dimension mismatch")
-        if np.dot(u, u) >= 1.0:
-            raise ValueError("GradHessPoint needs |u| < 1")
-        if not 0.0 < self.alpha <= 1.0 / (self.m - 1):
-            raise ValueError("alpha must lie in (0, 1/(m-1)]")
-        if np.max(np.abs(self.a_up @ self.a_down - np.eye(self.m))) > 1e-10:
-            raise ValueError("a_up and a_down failed to invert each other")
-
-    @property
-    def theta(self) -> float:
-        return 1.0 / np.sqrt(1.0 - float(np.dot(self.u_vec, self.u_vec)))
-
-    @property
-    def a_up(self) -> np.ndarray:
-        th2 = self.theta**2
-        return np.eye(self.m) + th2 * np.outer(self.u_vec, self.u_vec)
-
-    @property
-    def a_down(self) -> np.ndarray:
-        return np.eye(self.m) - np.outer(self.u_vec, self.u_vec)
-
-    @property
-    def b_op(self) -> np.ndarray:
-        return self.a_up @ self.hess_u.entries
-
-
-def project_a_tracefree(u_vec, hess_raw) -> SymForm:
-    """Remove the a-trace along the identity so that a^{ij} h_{ij} = 0.
-
-    Subtracts (tr_a h / tr_a id) * id, which keeps symmetry and lands the
-    maximality constraint exactly (up to roundoff).
-    """
-    u = np.asarray(u_vec, dtype=float)
-    h = np.asarray(hess_raw, dtype=float)
-    h = 0.5 * (h + h.T)
-    th2 = 1.0 / (1.0 - float(np.dot(u, u)))
-    a_up = np.eye(u.size) + th2 * np.outer(u, u)
-    c = np.sum(a_up * h) / np.trace(a_up)
-    return SymForm(h - c * np.eye(u.size))
-
-
 def project_a_tracefree_batch(us: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """Make each symmetrised Hessian a-trace-free: a^{ij} h_{ij} = 0.
+
+    With a_up = id + Theta^2 u(x)u, Theta = 1/sqrt(1-|u|^2), subtracts
+    (tr_a h / tr_a id) * id, which keeps symmetry and lands the maximality
+    constraint exactly (up to roundoff).
+    """
     th2 = 1.0 / (1.0 - np.sum(us * us, axis=1))
     eye = np.eye(us.shape[1])
     a_up = eye[None, :, :] + th2[:, None, None] * np.einsum("ni,nj->nij", us, us)
@@ -237,28 +172,28 @@ def project_a_tracefree_batch(us: np.ndarray, hs: np.ndarray) -> np.ndarray:
     return hs - c[:, None, None] * eye[None, :, :]
 
 
-def pseudo_jacobi_gap(pt: GradHessPoint) -> float:
-    """trace(B^2) - (alpha+1) Theta^2 a_down(B u, B u), guaranteed >= 0.
-
-    The input Hessian must be a-trace-free (the maximality constraint); a
-    violation beyond 1e-10 raises.
-    """
-    b = pt.b_op
-    if abs(np.trace(b)) > 1e-10 * max(1.0, float(np.max(np.abs(b)))):
-        raise ValueError("pseudo_jacobi_gap: hessian is not a-trace-free")
-    bu = b @ pt.u_vec
-    second = float(bu @ pt.a_down @ bu)
-    return float(np.sum(b * b.T)) - (pt.alpha + 1.0) * pt.theta**2 * second
-
-
 def pseudo_jacobi_gap_batch(us: np.ndarray, hs: np.ndarray, alpha: float) -> np.ndarray:
-    """Vectorised pseudo-Jacobi gaps; ``hs`` must already be a-trace-free."""
+    """trace(B^2) - (alpha+1) Theta^2 a_down(B u, B u) per row, guaranteed >= 0.
+
+    Theta = 1/sqrt(1-|u|^2), a_up = id + Theta^2 u(x)u, a_down = id - u(x)u
+    (mutually inverse) and B = a_up . hess.  Each gradient needs |u| < 1,
+    alpha must lie in (0, 1/(m-1)], and each Hessian must be a-trace-free
+    (the maximality constraint; tr B beyond 1e-10 raises).
+    """
     n, m = us.shape
-    th2 = 1.0 / (1.0 - np.sum(us * us, axis=1))
+    nu = np.sum(us * us, axis=1)
+    if np.any(nu >= 1.0):
+        raise ValueError("pseudo_jacobi_gap needs |u| < 1")
+    if not 0.0 < alpha <= 1.0 / (m - 1):
+        raise ValueError("alpha must lie in (0, 1/(m-1)]")
+    th2 = 1.0 / (1.0 - nu)
     eye = np.eye(m)
     a_up = eye[None, :, :] + th2[:, None, None] * np.einsum("ni,nj->nij", us, us)
     a_dn = eye[None, :, :] - np.einsum("ni,nj->nij", us, us)
     b = np.einsum("nik,nkj->nij", a_up, hs)
+    scale = np.maximum(1.0, np.max(np.abs(b), axis=(1, 2)))
+    if np.any(np.abs(np.einsum("nii->n", b)) > 1e-10 * scale):
+        raise ValueError("pseudo_jacobi_gap: hessian is not a-trace-free")
     tr_b2 = np.einsum("nij,nji->n", b, b)
     bu = np.einsum("nij,nj->ni", b, us)
     second = np.einsum("ni,nij,nj->n", bu, a_dn, bu)

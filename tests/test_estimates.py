@@ -32,7 +32,7 @@ from staticlab.geometry import (
     euclidean_profile,
     hyperbolic_profile,
 )
-from staticlab.graphs import Anchor, constant_H, radial_H, solve_radial_graph, zero_H
+from staticlab.graphs import Anchor, MeanCurvSpec, constant_H, solve_radial_graph, zero_H
 from staticlab.numerics import Grid
 
 ONES = np.ones_like
@@ -102,7 +102,7 @@ class TestMeanH:
         assert mean_H_average(hyperbolic_model, constant_H(0.37), 2.0) == pytest.approx(0.37, abs=1e-12)
 
     def test_linear(self, euclid_model):
-        spec = radial_H(lambda s: np.asarray(s, dtype=float))
+        spec = MeanCurvSpec("radial", H_fn=lambda s: np.asarray(s, dtype=float))
         assert mean_H_average(euclid_model, spec, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-10)
 
     def test_zero(self, euclid_model):

@@ -16,18 +16,26 @@ from staticlab.geometry import (
 from staticlab.graphs import (
     Anchor,
     FluxBlowUpError,
+    MeanCurvSpec,
     constant_H,
     export_graph_csv,
     flux_from_H,
     gauge_consistency_check,
-    angle_profile,
-    oracle_catenoid,
-    radial_H,
     slope_from_flux,
     solve_radial_graph,
     zero_H,
 )
-from staticlab.numerics import Grid, quad
+from staticlab.numerics import Grid
+
+
+def oracle_catenoid(m: int, c: float, s):
+    """Closed-form slope/angle of the maximal graph with flux c over flat base.
+
+    tau' = c / sqrt(s^{2(m-1)} + c^2), cosh theta = sqrt(s^{2(m-1)} + c^2) / s^{m-1}.
+    """
+    s = np.asarray(s, dtype=float)
+    p = s ** (2 * (m - 1))
+    return c / np.sqrt(p + c * c), np.sqrt(p + c * c) / s ** (m - 1)
 
 
 class TestFlux:
@@ -61,7 +69,7 @@ class TestFlux:
 
         grid = Grid.uniform(0.0, 2.0, 101)
         with pytest.raises(FluxBlowUpError):
-            flux_from_H(euclid_model, radial_H(bad_H), Anchor.pole(), grid)
+            flux_from_H(euclid_model, MeanCurvSpec("radial", H_fn=bad_H), Anchor.pole(), grid)
 
 
 class TestSlopeFromFlux:
@@ -148,7 +156,6 @@ class TestSolve:
         def err(n):
             grid = Grid.uniform(1.0, 2.0, n + 1)
             g = solve_radial_graph(euclid_annulus, zero_H(), Anchor.point(1.0, 0.0, 1.0), grid)
-            slope, _ = oracle_catenoid(2, 1.0, grid.nodes)
             exact = np.arcsinh(grid.nodes) - np.arcsinh(1.0)
             return float(np.max(np.abs(g.tau - exact)))
 
@@ -211,8 +218,7 @@ class TestGaugeConsistency:
 def test_angle_profile_invariant(hyperbolic_model):
     grid = Grid.uniform(0.0, 5.0, 301)
     g = solve_radial_graph(hyperbolic_model, constant_H(0.3), Anchor.pole(), grid)
-    prof = angle_profile(g)
-    assert np.all(prof.cosh_theta >= 1.0)
+    assert np.all(g.cosh_theta >= 1.0)
 
 
 def test_export_csv(tmp_path, euclid_annulus):

@@ -14,19 +14,30 @@ from staticlab.geometry import (
     schwarzschild_s_of_rho,
 )
 from staticlab.tensors import (
-    GradHessPoint,
     SymForm,
-    coercivity_gap,
     coercivity_gap_batch,
     kulkarni_nomizu,
     newton_gap,
-    project_a_tracefree,
     project_a_tracefree_batch,
-    pseudo_jacobi_gap,
     pseudo_jacobi_gap_batch,
     sample_gradhess_batch,
     static_riemann,
 )
+
+
+def coercivity_gap(x, y) -> float:
+    """One pair through the batch function."""
+    return float(coercivity_gap_batch(np.atleast_2d(x), np.atleast_2d(y))[0])
+
+
+def pseudo_jacobi_gap(u, hess, alpha) -> float:
+    """One point through the batch function."""
+    return float(pseudo_jacobi_gap_batch(np.atleast_2d(u), np.asarray(hess, dtype=float)[None], alpha)[0])
+
+
+def project_a_tracefree(u, hess) -> np.ndarray:
+    """One point through the batch function."""
+    return project_a_tracefree_batch(np.atleast_2d(u), np.asarray(hess, dtype=float)[None])[0]
 
 
 class TestKulkarniNomizu:
@@ -119,6 +130,8 @@ class TestCoercivity:
     def test_rejects_null_vectors(self):
         with pytest.raises(ValueError):
             coercivity_gap([1.0], [0.0])
+        with pytest.raises(ValueError):
+            coercivity_gap_batch(np.array([[0.1, 0.2], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.6, 0.8]]))
 
     @given(st.lists(st.floats(-0.6, 0.6), min_size=2, max_size=4),
            st.lists(st.floats(-0.6, 0.6), min_size=2, max_size=4))
@@ -129,39 +142,37 @@ class TestCoercivity:
         assert coercivity_gap(x, y) >= 0.0
 
     def test_batch_matches_scalar(self):
+        # reference: the defining formula, one pair at a time
         rng = np.random.default_rng(3)
         xs = rng.uniform(-0.5, 0.5, (50, 3))
         ys = rng.uniform(-0.5, 0.5, (50, 3))
         batch = coercivity_gap_batch(xs, ys)
-        for i in range(50):
-            assert batch[i] == pytest.approx(coercivity_gap(xs[i], ys[i]), abs=1e-14)
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            ref = np.dot(x / math.sqrt(1.0 - x @ x) - y / math.sqrt(1.0 - y @ y), x - y)
+            assert batch[i] == pytest.approx(ref, abs=1e-14)
 
 
 class TestGradHessPoint:
-    def test_inverse_pair(self):
-        pt = GradHessPoint(3, np.array([0.3, 0.2, -0.5]),
-                           SymForm(np.diag([1.0, 2.0, -3.0])), alpha=0.5)
-        assert np.allclose(pt.a_up @ pt.a_down, np.eye(3), atol=1e-12)
-        assert pt.theta >= 1.0
+    """Gradient/Hessian point checks of pseudo_jacobi_gap_batch."""
 
     def test_rejects_timelike_gradient(self):
-        with pytest.raises(ValueError):
-            GradHessPoint(2, np.array([0.8, 0.7]), SymForm(np.eye(2)), alpha=1.0)
+        with pytest.raises(ValueError, match=r"\|u\| < 1"):
+            pseudo_jacobi_gap([0.8, 0.7], np.diag([1.0, -1.0]), alpha=1.0)
 
     def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            GradHessPoint(3, np.zeros(3), SymForm(np.eye(3)), alpha=0.6)
+        with pytest.raises(ValueError, match="alpha"):
+            pseudo_jacobi_gap(np.zeros(3), np.diag([2.0, -1.0, -1.0]), alpha=0.6)
 
 
 class TestProjection:
     def test_tracefree_unchanged(self):
         h = np.diag([1.0, -1.0])
         out = project_a_tracefree(np.zeros(2), h)
-        assert np.allclose(out.entries, h, atol=1e-12)
+        assert np.allclose(out, h, atol=1e-12)
 
     def test_identity_projects_to_zero(self):
         out = project_a_tracefree(np.zeros(2), np.eye(2))
-        assert np.max(np.abs(out.entries)) == 0.0
+        assert np.max(np.abs(out)) == 0.0
 
     def test_random_trace_removed(self):
         rng = np.random.default_rng(8)
@@ -169,24 +180,26 @@ class TestProjection:
             u = rng.uniform(-0.5, 0.5, 3)
             h = rng.uniform(-5, 5, (3, 3))
             out = project_a_tracefree(u, h)
+            assert np.allclose(out, out.T, atol=0.0)
             th2 = 1.0 / (1.0 - u @ u)
             a_up = np.eye(3) + th2 * np.outer(u, u)
-            assert abs(np.sum(a_up * out.entries)) <= 1e-12
+            assert abs(np.sum(a_up * out)) <= 1e-12
 
 
 class TestPseudoJacobi:
     def test_zero_gradient_two_dim(self):
-        pt = GradHessPoint(2, np.zeros(2), SymForm(np.diag([1.0, -1.0])), alpha=1.0)
-        assert pseudo_jacobi_gap(pt) == pytest.approx(2.0)
+        assert pseudo_jacobi_gap(np.zeros(2), np.diag([1.0, -1.0]), alpha=1.0) == pytest.approx(2.0)
 
     def test_zero_gradient_three_dim(self):
-        pt = GradHessPoint(3, np.zeros(3), SymForm(np.diag([2.0, -1.0, -1.0])), alpha=0.5)
-        assert pseudo_jacobi_gap(pt) == pytest.approx(6.0)
+        assert pseudo_jacobi_gap(np.zeros(3), np.diag([2.0, -1.0, -1.0]), alpha=0.5) == pytest.approx(6.0)
 
     def test_trace_constraint_enforced(self):
-        pt = GradHessPoint(2, np.zeros(2), SymForm(np.eye(2)), alpha=1.0)
         with pytest.raises(ValueError, match="a-trace-free"):
-            pseudo_jacobi_gap(pt)
+            pseudo_jacobi_gap(np.zeros(2), np.eye(2), alpha=1.0)
+        us, hs = sample_gradhess_batch(9, 20, 3)
+        hs[7] += 1e-6 * np.eye(3)
+        with pytest.raises(ValueError, match="a-trace-free"):
+            pseudo_jacobi_gap_batch(us, hs, 0.5)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_seeded_sweep_nonnegative(self, m):
@@ -196,11 +209,17 @@ class TestPseudoJacobi:
             assert float(np.min(gaps)) >= -1e-10
 
     def test_batch_matches_scalar(self):
+        # reference: dense matrices per point, B = a_up hess with
+        # a_up = id + Theta^2 u u^T, a_down = id - u u^T
         us, hs = sample_gradhess_batch(77, 10, 3)
         gaps = pseudo_jacobi_gap_batch(us, hs, 0.5)
         for i in range(10):
-            pt = GradHessPoint(3, us[i], SymForm(hs[i]), alpha=0.5)
-            assert gaps[i] == pytest.approx(pseudo_jacobi_gap(pt), abs=1e-9)
+            u = us[i]
+            th2 = 1.0 / (1.0 - u @ u)
+            b = (np.eye(3) + th2 * np.outer(u, u)) @ hs[i]
+            bu = b @ u
+            ref = np.trace(b @ b) - 1.5 * th2 * (bu @ (np.eye(3) - np.outer(u, u)) @ bu)
+            assert gaps[i] == pytest.approx(ref, abs=1e-9)
 
     def test_projection_batch_exact(self):
         us, hs = sample_gradhess_batch(5, 500, 4)
