@@ -515,20 +515,15 @@ def angle_bound_check(graph: RadialGraph, G: float, t0: float, tol: float = 1e-9
 
 @dataclass(frozen=True)
 class AngleMachineParams:
-    """Cutoff-machinery parameters: ball radius R, slope C, exponent K.
-
-    Carries the Hessian-comparison profile f0(t) = sqrt(B) t coth(sqrt(B) t)
-    and its smooth even extensions used to control the distance Hessian.
-    """
+    """Cutoff-machinery parameters: ball radius R, slope C, exponent K."""
 
     R: float
     C: float
     K: float
-    B: float = 1.0
 
     def __post_init__(self):
-        if self.R <= 0 or self.K <= 0 or self.B <= 0:
-            raise ValueError("R, K, B must be positive")
+        if self.R <= 0 or self.K <= 0:
+            raise ValueError("R, K must be positive")
         if not self.C > 2.0 / self.R:
             raise ValueError("need C > 2/R (gamma = CR/2 > 1)")
 
@@ -539,27 +534,6 @@ class AngleMachineParams:
     @property
     def delta(self) -> float:
         return 2.0 / (1.0 + self.gamma**2)
-
-    def f0(self, t):
-        t = np.asarray(t, dtype=float)
-        rb = np.sqrt(self.B)
-        return rb * t / np.tanh(rb * t)
-
-    def f_ext(self, t):
-        """Smooth even extension of f0 with value 1 at t = 0."""
-        t = np.abs(np.asarray(t, dtype=float))
-        small = t < 1e-6
-        out = np.where(small, 1.0 + self.B * t * t / 3.0, self.f0(np.where(small, 1.0, t)))
-        return out if out.ndim else float(out)
-
-    def g_ext(self, t):
-        """(f - 1)/(2 t^2), extended smoothly across 0 with value B/6."""
-        t = np.abs(np.asarray(t, dtype=float))
-        small = t < 1e-4
-        safe = np.where(small, 1.0, t)
-        series = self.B / 6.0 - self.B**2 * t * t / 90.0
-        out = np.where(small, series, (self.f_ext(safe) - 1.0) / (2.0 * safe * safe))
-        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

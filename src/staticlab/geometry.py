@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import cumulative_quad
+from .numerics import Antiderivative
 
 __all__ = [
     "RadialProfile",
@@ -59,17 +59,32 @@ def _schw_V(mu: float, m: int, rho):
     return 1.0 - 2.0 * mu * np.asarray(rho, dtype=float) ** (2 - m)
 
 
+def _chart_integrand(mu: float, m: int, rho_s: float):
+    """w -> 2w/sqrt(V(rho_S + w^2)), the chart integrand in the variable w."""
+    vp0 = 2.0 * mu * (m - 2) * rho_s ** (1 - m)
+
+    def integrand(w):
+        # V(rho_s + x) = -expm1((2-m) log1p(x/rho_s)): stable at the horizon
+        w = np.asarray(w, dtype=float)
+        tiny = w < 1e-120
+        wsafe = np.where(tiny, 1.0, w)
+        v = -np.expm1((2 - m) * np.log1p(wsafe * wsafe / rho_s))
+        return np.where(tiny, 2.0 / np.sqrt(vp0), 2.0 * wsafe / np.sqrt(v))
+
+    return integrand
+
+
 class _SchwarzschildChart:
     """Cached bijection s(rho) = int_{rho_S}^{rho} dt/sqrt(V).
 
-    The endpoint singularity is removed by the substitution t = rho_S + w^2,
-    after which the integrand 2w/sqrt(V(rho_S + w^2)) is smooth.  Forward
-    values come from a cached cumulative integral on a w-grid.  The inverse
-    starts from piecewise-linear interpolation of that monotone (s, w) table
-    and is polished by Newton iterations on the exact forward map.  The last
-    inverse solve is memoised, keyed by the input values, so that profile
-    and warp evaluation of one sample array share it; growing the table
-    clears the memo.
+    The substitution t = rho_S + w^2 removes the endpoint singularity and
+    leaves the smooth, positive integrand 2w/sqrt(V(rho_S + w^2)), whose
+    :class:`~staticlab.numerics.Antiderivative` in w is ``table``: s(rho) is
+    its forward map and rho(s) = rho_S + w^2 with w from its inverse.  The
+    integrand closes over (mu, m, rho_S), not over the chart, so a chart
+    holds no reference cycle.  The last inverse is memoised, keyed by the
+    input values and the table size, so that profile and warp evaluation of
+    one sample array share it and a grown table invalidates it.
     """
 
     def __init__(self, mu: float, m: int):
@@ -77,72 +92,30 @@ class _SchwarzschildChart:
             raise ValueError("Schwarzschild mass mu must be positive")
         if m < 3:
             raise ValueError("Schwarzschild base needs dimension m >= 3")
-        self.mu = mu
-        self.m = m
         self.rho_s = (2.0 * mu) ** (1.0 / (m - 2))
-        self._w_nodes = None
-        self._s_nodes = None
-        self._last_inverse = None  # (s, rho) of the most recent rho_of_s solve
-        self._ensure(w_max=np.sqrt(64.0 + self.rho_s))
-
-    def _integrand(self, w):
-        # V(rho_s + x) = -expm1((2-m) log1p(x/rho_s)): stable at the horizon
-        w = np.asarray(w, dtype=float)
-        tiny = w < 1e-120
-        wsafe = np.where(tiny, 1.0, w)
-        v = -np.expm1((2 - self.m) * np.log1p(wsafe * wsafe / self.rho_s))
-        vp0 = 2.0 * self.mu * (self.m - 2) * self.rho_s ** (1 - self.m)
-        return np.where(tiny, 2.0 / np.sqrt(vp0), 2.0 * wsafe / np.sqrt(v))
-
-    def _ensure(self, w_max: float):
-        if self._w_nodes is not None and self._w_nodes[-1] >= w_max:
-            return
-        n = max(4096, int(256 * w_max))
-        w = np.linspace(0.0, w_max, n + 1)
-        self._w_nodes = w
-        self._s_nodes = cumulative_quad(self._integrand, w, tol=1e-14)
-        self._last_inverse = None
-
-    def _local(self, w):
-        """Forward map on arrays: cached node + one fine Simpson correction."""
-        w = np.asarray(w, dtype=float)
-        idx = np.clip(np.searchsorted(self._w_nodes, w, side="right") - 1, 0, self._w_nodes.size - 2)
-        a = self._w_nodes[idx]
-        h = w - a
-        f0 = self._integrand(a)
-        f1 = self._integrand(a + 0.25 * h)
-        f2 = self._integrand(a + 0.5 * h)
-        f3 = self._integrand(a + 0.75 * h)
-        f4 = self._integrand(w)
-        inc = h * (f0 + 4.0 * f1 + 2.0 * f2 + 4.0 * f3 + f4) / 12.0
-        return self._s_nodes[idx] + inc
+        w_max = float(np.sqrt(64.0 + self.rho_s))
+        self.table = Antiderivative(
+            _chart_integrand(mu, m, self.rho_s), 0.0, w_max, n=max(4096, int(256 * w_max)), tol=1e-14
+        )
+        self._last_inverse = None  # (table size, s, rho) of the most recent rho_of_s solve
 
     def s_of_rho(self, rho):
         rho_arr = np.asarray(rho, dtype=float)
         if np.any(rho_arr <= self.rho_s):
             raise DomainError(f"rho <= rho_S = {self.rho_s!r}: inside horizon")
-        w = np.sqrt(rho_arr - self.rho_s)
-        self._ensure(float(np.max(w)) * 1.05 + 1e-9)
-        out = self._local(w)
-        return float(out) if np.isscalar(rho) or rho_arr.ndim == 0 else out
+        return self.table(np.sqrt(rho_arr - self.rho_s))
 
     def rho_of_s(self, s):
         s_arr = np.asarray(s, dtype=float)
         if np.any(s_arr <= 0):
             raise DomainError("rho_of_s needs s > 0 (s = 0 is the horizon)")
-        # grow the table until it covers the requested s values
-        while self._s_nodes[-1] < float(np.max(s_arr)):
-            self._ensure(self._w_nodes[-1] * 2.0)
         last = self._last_inverse
-        if last is not None and last[0].shape == s_arr.shape and np.array_equal(last[0], s_arr):
-            rho = last[1].copy()
+        if last is not None and last[0] == self.table.nodes.size and np.array_equal(last[1], s_arr):
+            rho = last[2].copy()
         else:
-            w = np.maximum(np.interp(s_arr, self._s_nodes, self._w_nodes), 1e-12)
-            for _ in range(4):
-                w = w - (self._local(w) - s_arr) / self._integrand(w)
-                w = np.maximum(w, 1e-15)
+            w = np.maximum(self.table.inverse(s_arr), 1e-15)
             rho = self.rho_s + w * w
-            self._last_inverse = (s_arr.copy(), rho.copy())
+            self._last_inverse = (self.table.nodes.size, s_arr.copy(), rho.copy())
         return float(rho) if np.isscalar(s) or s_arr.ndim == 0 else rho
 
 
@@ -157,7 +130,11 @@ def schwarzschild_s_of_rho(mu: float, m: int, rho):
 
 
 def schwarzschild_rho_of_s(mu: float, m: int, s):
-    """Inverse coordinate change, by table interpolation plus Newton."""
+    """Area radius rho of the geodesic radial coordinate s > 0.
+
+    Inverts the chart's antiderivative table: a cubic Hermite start from the
+    cached node values and one Newton step on the exact forward map.
+    """
     return _chart(mu, m).rho_of_s(s)
 
 

@@ -167,24 +167,27 @@ def _adaptive_simpson_batch(f, x0, x2, f0, fm, f2, whole, tol):
 def cumulative_quad(f, nodes: np.ndarray, tol: float = 1e-13) -> np.ndarray:
     """Antiderivative values I(s_i) = int_{s_0}^{s_i} f, vectorised per interval.
 
-    ``f`` must accept numpy arrays.  Each interval gets a two-panel Simpson
-    value with a Richardson error check.  Intervals failing the check are
-    refined together by the adaptive Simpson refiner of :func:`quad`
-    (tolerance halved per level, same depth cap and width floor), with
-    ``f`` called once per refinement level on the quarter
+    ``f`` must accept numpy arrays.  It is called once on all nodes, whose
+    values serve as the left and right ends of every interval, and once on
+    each of the three interior quarter-point arrays.  Each interval gets a
+    two-panel Simpson value with a Richardson error check.  Intervals failing
+    the check are refined together by the adaptive Simpson refiner of
+    :func:`quad` (tolerance halved per level, same depth cap and width
+    floor), with ``f`` called once per refinement level on the quarter
     points of all unresolved panels (in batches of at most
     ``_MAX_BATCH_PANELS``).  Raises :class:`QuadratureError` when a panel
     cannot be resolved.
     """
     nodes = np.asarray(nodes, dtype=float)
+    f_nodes = np.asarray(f(nodes), dtype=float)
     a = nodes[:-1]
     b = nodes[1:]
     h = b - a
-    f0 = f(a)
+    f0 = f_nodes[:-1]
     f1 = f(a + 0.25 * h)
     f2 = f(a + 0.5 * h)
     f3 = f(a + 0.75 * h)
-    f4 = f(b)
+    f4 = f_nodes[1:]
     coarse = h * (f0 + 4.0 * f2 + f4) / 6.0
     fine = h * (f0 + 4.0 * f1 + 2.0 * f2 + 4.0 * f3 + f4) / 12.0
     err = np.abs(fine - coarse) / 15.0
@@ -201,6 +204,16 @@ def cumulative_quad(f, nodes: np.ndarray, tol: float = 1e-13) -> np.ndarray:
     out[0] = 0.0
     np.cumsum(inc, out=out[1:])
     return out
+
+
+def _serving(f, nodes: np.ndarray, f_nodes: np.ndarray):
+    """``f``, except that a call on the array ``nodes`` itself returns ``f_nodes``.
+
+    :func:`cumulative_quad` evaluates ``f`` on its nodes array first; serving
+    that call lets :class:`Antiderivative` keep the node values of ``f``
+    without evaluating it there twice.
+    """
+    return lambda x: f_nodes if x is nodes else f(x)
 
 
 def cumulative_order3(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -240,9 +253,12 @@ def cumulative_order3(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 class Antiderivative:
     """Cached antiderivative I(x) = int_{a}^{x} f on [a, b], array-friendly.
 
-    Node values come from per-interval adaptive quadrature; off-node queries
-    add a local two-panel Simpson correction from the nearest node below.
-    The table extends itself geometrically when queried past b.
+    The table holds the nodes, the node values of I from
+    :func:`cumulative_quad` and the values of ``f`` at the nodes, taken from
+    the same evaluation that built I.  Off-node queries add a two-panel
+    Simpson correction from the nearest node below, whose left-end sample is
+    the cached node value of ``f``.  The table extends itself geometrically
+    when queried past its end.
     """
 
     def __init__(self, fn, a: float, b: float, n: int = 2048, tol: float = 1e-13):
@@ -254,28 +270,63 @@ class Antiderivative:
 
     def _build(self, b: float):
         n = max(int(np.ceil(self._per_unit * (b - self.a))), 16)
-        self.nodes = np.linspace(self.a, b, n + 1)
-        self.values = cumulative_quad(self.fn, self.nodes, tol=self.tol)
+        nodes = np.linspace(self.a, b, n + 1)
+        f_nodes = np.asarray(self.fn(nodes), dtype=float)
+        self.values = cumulative_quad(_serving(self.fn, nodes, f_nodes), nodes, tol=self.tol)
+        self.nodes = nodes
+        self.f_nodes = f_nodes
+
+    def _grow(self):
+        self._build(self.a + 2.0 * (self.nodes[-1] - self.a))
+
+    def _forward(self, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
+        """I(x) for x inside the table, given fx = f(x)."""
+        idx = np.clip(np.searchsorted(self.nodes, x, side="right") - 1, 0, self.nodes.size - 2)
+        lo = self.nodes[idx]
+        h = x - lo
+        f1 = self.fn(lo + 0.25 * h)
+        f2 = self.fn(lo + 0.5 * h)
+        f3 = self.fn(lo + 0.75 * h)
+        inc = h * (self.f_nodes[idx] + 4.0 * f1 + 2.0 * f2 + 4.0 * f3 + fx) / 12.0
+        return self.values[idx] + inc
 
     def __call__(self, x):
         x_arr = np.asarray(x, dtype=float)
         top = float(np.max(x_arr))
         while top > self.nodes[-1] + 1e-12:
-            self._build(self.a + 2.0 * (self.nodes[-1] - self.a))
+            self._grow()
         if np.any(x_arr < self.a - 1e-12):
             raise ValueError("Antiderivative queried below its base point")
         xc = np.clip(x_arr, self.a, self.nodes[-1])
-        idx = np.clip(np.searchsorted(self.nodes, xc, side="right") - 1, 0, self.nodes.size - 2)
-        lo = self.nodes[idx]
-        h = xc - lo
-        f0 = self.fn(lo)
-        f1 = self.fn(lo + 0.25 * h)
-        f2 = self.fn(lo + 0.5 * h)
-        f3 = self.fn(lo + 0.75 * h)
-        f4 = self.fn(xc)
-        inc = h * (f0 + 4.0 * f1 + 2.0 * f2 + 4.0 * f3 + f4) / 12.0
-        out = self.values[idx] + inc
+        out = self._forward(xc, self.fn(xc))
         return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
+
+    def inverse(self, y):
+        """x with I(x) = y, for a positive integrand ``f``.
+
+        Starts from the cubic Hermite interpolant of the table read as x(I),
+        with slopes 1/f at the nodes, clipped into its interval, and takes one
+        Newton step on the forward map; f(x) serves both the Simpson
+        correction and the derivative, so each point costs four calls' worth
+        of ``f``.  The table grows until it covers max(y).
+        """
+        y_arr = np.asarray(y, dtype=float)
+        top = float(np.max(y_arr))
+        while self.values[-1] < top:
+            self._grow()
+        idx = np.clip(np.searchsorted(self.values, y_arr, side="right") - 1, 0, self.nodes.size - 2)
+        x0, x1 = self.nodes[idx], self.nodes[idx + 1]
+        y0 = self.values[idx]
+        dy = self.values[idx + 1] - y0
+        d0 = dy / self.f_nodes[idx]
+        d1 = dy / self.f_nodes[idx + 1]
+        dx = x1 - x0
+        t = (y_arr - y0) / dy
+        x = x0 + t * (d0 + t * ((3.0 * dx - 2.0 * d0 - d1) + t * (d0 + d1 - 2.0 * dx)))
+        x = np.clip(x, x0, x1)
+        fx = self.fn(x)
+        out = x - (self._forward(x, fx) - y_arr) / fx
+        return float(out) if np.isscalar(y) or y_arr.ndim == 0 else out
 
 
 def tridiag_solve(lower, diag, upper, rhs) -> np.ndarray:

@@ -327,17 +327,6 @@ class TestAngleMachine:
         p = AngleMachineParams(R=4.0, C=1.0, K=2.0)
         assert p.gamma == 2.0 and 0.0 < p.delta < 1.0
 
-    def test_comparison_profile_extensions(self):
-        p = AngleMachineParams(R=4.0, C=1.0, K=2.0, B=1.0)
-        assert p.f_ext(0.0) == 1.0
-        assert p.g_ext(0.0) == pytest.approx(1.0 / 6.0)
-        assert p.f_ext(2.0) == pytest.approx(p.f0(2.0))
-        assert p.f_ext(-2.0) == p.f_ext(2.0)
-        # smoothness across zero: series and direct formula agree at the seam
-        assert p.f_ext(1.0000001e-6) == pytest.approx(p.f_ext(0.9999999e-6), rel=1e-9)
-        p2 = AngleMachineParams(R=4.0, C=1.0, K=2.0, B=3.0)
-        assert p2.g_ext(0.0) == pytest.approx(0.5)
-
     def test_slice_trivial(self, hyperbolic_model):
         g = solve_radial_graph(hyperbolic_model, zero_H(), Anchor.pole(1.0), Grid.uniform(0.0, 6.0, 601))
         res = angle_machine_step1(g, AngleMachineParams(R=4.0, C=0.8, K=1.5), t0=0.0)

@@ -25,16 +25,32 @@ from staticlab.geometry import (
 )
 
 
-def closed_form_s(rho):
-    # mu = 1, m = 3: s = 2w + 2 sinh(w) cosh(w) at cosh^2 w = rho/2
-    w = math.acosh(math.sqrt(rho / 2.0))
-    return 2.0 * w + 2.0 * math.sinh(w) * math.cosh(w)
+def closed_form_s_m3(mu, rho):
+    # s = sqrt(rho (rho - 2 mu)) + 2 mu ln((sqrt(rho) + sqrt(rho - 2 mu)) / sqrt(2 mu))
+    root = np.sqrt(rho - 2.0 * mu)
+    return np.sqrt(rho) * root + 2.0 * mu * np.log((np.sqrt(rho) + root) / np.sqrt(2.0 * mu))
+
+
+def closed_form_s_m4(mu, rho):
+    # rho_S^2 = 2 mu and V = 1 - rho_S^2/rho^2: s = sqrt((rho - rho_S)(rho + rho_S))
+    rho_s = np.sqrt(2.0 * mu)
+    return np.sqrt((rho - rho_s) * (rho + rho_s))
 
 
 class TestSchwarzschildChart:
     def test_closed_form(self):
-        for rho in (3.0, 4.0, 10.0):
-            assert schwarzschild_s_of_rho(1.0, 3, rho) == pytest.approx(closed_form_s(rho), abs=1e-6)
+        for mu, m, closed_form in [(1.0, 3, closed_form_s_m3), (0.7, 4, closed_form_s_m4)]:
+            rho_s = (2.0 * mu) ** (1.0 / (m - 2))
+            # near the horizon the reference is limited by the conditioning of rho - rho_S
+            rho = rho_s + np.geomspace(1e-6, 500.0 - rho_s, 400)
+            s = schwarzschild_s_of_rho(mu, m, rho)
+            np.testing.assert_allclose(s, closed_form(mu, rho), rtol=5e-13, atol=0.0)
+            # s values past the initial table (w up to sqrt(64 + rho_S)) make it grow
+            chart = _SchwarzschildChart(mu, m)
+            nodes_before = chart.table.nodes.size
+            rho = np.geomspace(rho_s + 1e-3, 500.0, 400)
+            np.testing.assert_allclose(chart.rho_of_s(closed_form(mu, rho)), rho, rtol=2e-14, atol=0.0)
+            assert chart.table.nodes.size > nodes_before
 
     def test_spec_value(self):
         assert schwarzschild_s_of_rho(1.0, 3, 4.0) == pytest.approx(4.5911743, abs=1e-6)
@@ -61,9 +77,9 @@ class TestSchwarzschildChart:
         s = np.linspace(0.5, 30.0, 7)
         chart = _SchwarzschildChart(1.0, 3)
         chart.rho_of_s(s)
-        nodes_before = chart._w_nodes.size
+        nodes_before = chart.table.nodes.size
         far = chart.s_of_rho(np.array([2.0e3, 1.0e4]))  # grows the table past its initial range
-        assert chart._w_nodes.size > nodes_before
+        assert chart.table.nodes.size > nodes_before
         again = chart.rho_of_s(s)
         np.testing.assert_allclose(chart.s_of_rho(again), s, rtol=1e-12)
         np.testing.assert_allclose(chart.rho_of_s(far), [2.0e3, 1.0e4], rtol=1e-12)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -65,7 +67,7 @@ def _chart_increments(nodes):
     """Integrals of the mu = 1e-3, m = 5 chart integrand between nodes, by QUADPACK."""
     from scipy import integrate
 
-    f = _SchwarzschildChart(1e-3, 5)._integrand
+    f = _SchwarzschildChart(1e-3, 5).table.fn
     return np.array([
         integrate.quad(lambda w: float(f(w)), a, b, epsabs=1e-16, epsrel=1e-13, limit=200)[0]
         for a, b in zip(nodes[:-1], nodes[1:])
@@ -131,7 +133,7 @@ class TestQuad:
         [
             # chart integrand across the horizon transition, on a grid far too coarse for it;
             # oracle: QUADPACK per interval
-            (_SchwarzschildChart(1e-3, 5)._integrand, np.linspace(0.0, 2.0, 9), _chart_increments),
+            (_SchwarzschildChart(1e-3, 5).table.fn, np.linspace(0.0, 2.0, 9), _chart_increments),
             # sharp peak between two nodes; oracle: the arctan antiderivative
             (lambda x: 1.0 / (1.0 + ((x - 0.537) / 1e-3) ** 2), np.linspace(0.0, 1.0, 11),
              lambda nodes: np.diff(1e-3 * np.arctan((nodes - 0.537) / 1e-3))),
@@ -145,8 +147,8 @@ class TestQuad:
         ref = oracle(nodes)
         thresh = np.maximum(tol, tol * np.abs(ref))
         assert np.all(np.abs(inc - ref) <= thresh)
-        # five calls for the two-panel check, then one per refinement level
-        assert 5 < counted.calls <= 5 + numerics._MAX_QUAD_DEPTH
+        # four calls for the two-panel check, then one per refinement level
+        assert 4 < counted.calls <= 4 + numerics._MAX_QUAD_DEPTH
 
     def test_cumulative_fallback_batches_split(self, monkeypatch):
         nodes = np.linspace(0.0, 1.0, 11)
@@ -168,7 +170,7 @@ class TestQuad:
             cumulative_quad(counted, np.linspace(0.0, 1.0, 11))
         # refined deepest first in capped batches: the stuck panel is found without
         # expanding every level, which would need memory growing geometrically with depth
-        assert counted.calls <= 5 + 4 * numerics._MAX_QUAD_DEPTH
+        assert counted.calls <= 4 + 4 * numerics._MAX_QUAD_DEPTH
 
     def test_cumulative_order3_rate(self):
         def err(n):
@@ -183,6 +185,41 @@ class TestQuad:
         assert anti(1.7) == pytest.approx(math.exp(1.7) - 1.0, abs=1e-11)
         # extends itself past the initial range
         assert anti(5.0) == pytest.approx(math.exp(5.0) - 1.0, rel=1e-11)
+
+    def test_antiderivative_inverse(self):
+        anti = Antiderivative(lambda x: np.exp(x), 0.0, 3.0)
+        y = np.geomspace(1e-6, math.expm1(3.0), 200)
+        np.testing.assert_allclose(anti.inverse(y), np.log1p(y), rtol=1e-14, atol=0.0)
+        assert anti.inverse(1.0) == pytest.approx(math.log(2.0), rel=1e-14)
+        # grows the table until it covers the largest value
+        far = np.expm1([3.5, 5.0, 6.5])
+        np.testing.assert_allclose(anti.inverse(far), np.log1p(far), rtol=1e-14, atol=0.0)
+        assert anti.nodes[-1] >= 6.5 and anti.values[-1] >= far[-1]
+
+    def test_node_values_evaluated_once(self):
+        # smooth integrand, no refinement: one call on the nodes, three on the quarter points
+        nodes = np.linspace(0.0, 1.0, 2049)
+        counted = self._counted(lambda x: np.exp(x))
+        cumulative_quad(counted, nodes)
+        assert counted.calls == 4
+        counted = self._counted(lambda x: np.exp(x))
+        anti = Antiderivative(counted, 0.0, 1.0)
+        assert counted.calls == 4
+        np.testing.assert_array_equal(anti.f_nodes, np.exp(anti.nodes))
+        np.testing.assert_array_equal(anti.values, cumulative_quad(lambda x: np.exp(x), anti.nodes))
+
+    def test_dropped_chart_is_freed_without_gc(self):
+        # the chart's integrand must not refer back to the chart: a cycle would keep
+        # charts evicted from the cache alive until the cyclic collector runs
+        gc.disable()
+        try:
+            chart = _SchwarzschildChart(1.0, 3)
+            chart.rho_of_s(np.linspace(0.5, 200.0, 9))
+            ref = weakref.ref(chart)
+            del chart
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestTridiag:
