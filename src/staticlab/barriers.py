@@ -198,11 +198,15 @@ def build_barrier_schwarzschild(mu, m, rho1, rho2, beta, H0, rho_max=40.0, n=400
     big_i = cumulative_quad(integrand, nodes, tol=1e-14)
     C = 1.0
 
+    # the root solve reads u0 only at the control node j: interval i of
+    # cumulative_order3 uses nodes i-1..i+1 and np.cumsum is sequential, so
+    # the first j + 1 nodes give the height there bitwise unchanged
+    big_p, w_p, h_p, nodes_p = big_i[:j + 1], w[:j + 1], h[:j + 1], nodes[:j + 1]
+
     def height_at_control(beta1: float) -> float:
-        f = (C * big_i + beta1) / w
-        u0p = f / (h * np.sqrt(h * h + f * f))
-        u0 = cumulative_order3(u0p, nodes)
-        return float(u0[j])
+        f = (C * big_p + beta1) / w_p
+        u0p = f / (h_p * np.sqrt(h_p * h_p + f * f))
+        return float(cumulative_order3(u0p, nodes_p)[-1])
 
     if height_at_control(0.0) <= beta:
         beta1 = 0.0

@@ -12,7 +12,7 @@ from staticlab.barriers import (
     verify_barrier,
 )
 from staticlab.geometry import schwarzschild_rho_of_s, schwarzschild_s_of_rho
-from staticlab.numerics import Grid, SampledFunction, quad
+from staticlab.numerics import Grid, SampledFunction, cumulative_order3, quad
 
 ONES = lambda s: np.ones_like(np.asarray(s, dtype=float))
 
@@ -107,6 +107,19 @@ class TestSchwarzschildBarrier:
         j = int(np.argmin(np.abs(schw_barrier.grid.nodes - schw_barrier.control[0])))
         assert schw_barrier.u0.values[j] <= 0.1 + 1e-10
         assert schw_barrier.beta1 < 0.0
+
+    def test_control_height_from_prefix(self, schw_barrier):
+        # the beta_1 root solve integrates only the first j + 1 nodes; the
+        # full-grid height at the control node must be the same number
+        nodes = schw_barrier.grid.nodes
+        j = int(np.flatnonzero(nodes == schw_barrier.control[0])[0])
+        assert (j, len(nodes)) == (411, 3999)
+        assert schw_barrier.beta1 == pytest.approx(-8.476, abs=1e-3)
+        height = schw_barrier.u0.values[j]
+        assert abs(height - 0.1) <= 1e-12
+        f, h = schw_barrier.f.values[:j + 1], schw_barrier.h_nodes[:j + 1]
+        prefix = cumulative_order3(f / (h * np.sqrt(h * h + f * f)), nodes[:j + 1])
+        assert prefix[-1] == height
 
     def test_unbounded_growth(self, schw_barrier):
         s30 = schwarzschild_s_of_rho(1.0, 3, 30.0)

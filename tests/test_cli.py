@@ -88,6 +88,16 @@ def test_tol_scale_accepted(tmp_path):
     assert cli.main(["run", "euclidean_catenoid", "--out", str(tmp_path), "--tol-scale", "10"]) == 0
 
 
+def test_tol_scale_below_floor_reports_fail(tmp_path):
+    # tol 1e-15 lies below the rounding floor: the solve returns and the
+    # report records the residual reached as a failed check
+    code = cli.main(["run", "euclidean_catenoid", "--out", str(tmp_path), "--tol-scale", "1e-6"])
+    assert code == 2
+    rows = (tmp_path / "euclidean_catenoid" / "reports.csv").read_text().splitlines()
+    verdicts = {row.split(",")[0]: row.split(",")[-1] for row in rows[1:]}
+    assert verdicts == {"elliptic-solve": "fail", "elliptic-telescope": "pass"}
+
+
 def test_suite_task_kind(tmp_path, capsys):
     cfg = tmp_path / "suite.cfg"
     cfg.write_text("[task]\nkind = suite\nname = quick\n")

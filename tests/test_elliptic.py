@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from staticlab import elliptic
 from staticlab.elliptic import (
     DirichletProblem,
     MeshOperator,
@@ -106,14 +107,35 @@ class TestNewton:
         assert abs(u.values[mid] - exact_mid) <= 1e-6
 
     def test_second_order_accuracy(self, euclid_annulus):
+        # the grids from 3201 nodes up reach the eps/ds^2 rounding floor above
+        # tol = 1e-9; the solve must return there, still second order
         def err(n):
-            grid = Grid.uniform(1.0, 2.0, n + 1)
+            grid = Grid.uniform(1.0, 2.0, n)
             op = MeshOperator.from_model(euclid_annulus, grid)
             exact = catenoid_exact(grid.nodes)
-            u = newton_solve(DirichletProblem(op, np.zeros(n + 1), (0.0, float(exact[-1]))))
+            u = newton_solve(DirichletProblem(op, np.zeros(n), (0.0, float(exact[-1]))))
             return float(np.max(np.abs(u.values - exact)))
 
-        assert err(400) / err(800) >= 3.5
+        errs = [err(n) for n in (401, 801, 1601, 3201, 6401)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse / fine >= 3.5
+
+    def test_returns_at_rounding_floor(self, euclid_annulus, monkeypatch):
+        n = 3201
+        grid = Grid.uniform(1.0, 2.0, n)
+        op = MeshOperator.from_model(euclid_annulus, grid)
+        exact = catenoid_exact(grid.nodes)
+        calls = []
+
+        def counting_residual(*args, **kwargs):
+            calls.append(1)
+            return residual(*args, **kwargs)
+
+        monkeypatch.setattr(elliptic, "residual", counting_residual)
+        u = newton_solve(DirichletProblem(op, np.zeros(n), (0.0, float(exact[-1]))))
+        ds = 1.0 / (n - 1)
+        assert len(calls) <= 10
+        assert np.max(np.abs(u.values - exact)) <= 1e-2 * ds * ds + 1e-9
 
     def test_non_spacelike_bc_rejected(self, catenoid_op):
         prob = DirichletProblem(catenoid_op, np.zeros(len(catenoid_op.grid)), (0.0, 2.0))
@@ -133,8 +155,19 @@ class TestNewton:
         grid = Grid.uniform(0.5, 4.0, 701)
         op = MeshOperator.from_model(hyperbolic_model, grid)
         prob = DirichletProblem(op, 6.0 * np.ones(len(grid)), (0.0, 0.0))
-        with pytest.raises(NewtonStagnationError):
-            newton_solve(prob, tol=1e-13, max_iter=200)
+        with pytest.raises(NewtonStagnationError, match="no convergence in 3 iterations"):
+            newton_solve(prob, tol=1e-7, max_iter=3)
+
+    def test_tolerance_below_floor_returns(self, hyperbolic_model):
+        # tol = 1e-13 lies below this problem's rounding floor: the solve
+        # returns the iterate where descent stops instead of raising
+        grid = Grid.uniform(0.5, 4.0, 701)
+        op = MeshOperator.from_model(hyperbolic_model, grid)
+        prob = DirichletProblem(op, 6.0 * np.ones(len(grid)), (0.0, 0.0))
+        u = newton_solve(prob, tol=1e-13, max_iter=200)
+        assert np.max(np.abs(residual(op, u.values, prob.rhs))) <= 1e-7
+        ref = newton_solve(prob, tol=1e-7)
+        assert np.max(np.abs(u.values - ref.values)) <= 1e-12
 
     def test_monotone_ellipticity(self, catenoid_op):
         # raising one interior value strictly lowers its own residual entry
