@@ -170,14 +170,12 @@ def criterion_3(seed=42, tol_scale=1.0) -> CriterionResult:
             f" (> {need}): {'ok' if clause else 'FAIL'}"
         )
         # equality chain of the boundary estimate at sampled radii
-        vcheck = 0.0
-        for r in (1.0, 2.0, 4.0, 8.0):
-            i = g.node_index(r)
-            lhs = math.sqrt(g.cosh_theta[i] ** 2 - 1.0)
-            wv = estimates.weighted_volumes(model, [r])
-            lhs *= float(wv.bvol[0] / wv.vol[0])
-            rhs = model.m * abs(estimates.mean_H_average(model, graphs.constant_H(H0), r))
-            vcheck = max(vcheck, abs(lhs - rhs))
+        radii = np.array([1.0, 2.0, 4.0, 8.0])
+        cosh = g.cosh_theta[[g.node_index(r) for r in radii]]
+        wv = estimates.weighted_volumes(model, radii)
+        lhs = np.sqrt(cosh**2 - 1.0) * (wv.bvol / wv.vol)
+        rhs = model.m * np.abs(estimates.mean_H_average(model, graphs.constant_H(H0), radii))
+        vcheck = float(np.max(np.abs(lhs - rhs)))
         clause2 = vcheck <= 1e-8 * tol_scale
         ok &= clause2
         details.append(f"H0={H0}: boundary-estimate equality chain residual {vcheck:.3e} (<= 1e-8): "

@@ -27,7 +27,7 @@ import numpy as np
 
 from .geometry import schwarzschild_profile, schwarzschild_s_of_rho, schwarzschild_warp
 from .numerics import Grid, SampledFunction, cumulative_order3, cumulative_quad, fd_derivative
-from .reporting import EstimateReport, make_report
+from .reporting import EstimateReport, make_report, write_table
 
 __all__ = [
     "ComparisonModel",
@@ -331,8 +331,4 @@ def export_barrier_csv(b: BarrierFunction, path) -> None:
     nodes = b.grid.nodes
     ds = float(nodes[1] - nodes[0])
     resid = fd_derivative(b.w_nodes * b.f.values, ds) / b.w_nodes - b.rhs_A
-    with open(path, "w", newline="\n") as fh:
-        fh.write("s,f,u0,residual\n")
-        for i, s in enumerate(nodes):
-            fh.write(f"{float(s)!r},{float(b.f.values[i])!r},"
-                     f"{float(b.u0.values[i])!r},{float(resid[i])!r}\n")
+    write_table(path, "s,f,u0,residual", (nodes, b.f.values, b.u0.values, resid))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .geometry import StaticModel
 from .numerics import Grid, SampledFunction, tridiag_solve
-from .reporting import EstimateReport, make_report, precondition_failure
+from .reporting import EstimateReport, make_report, precondition_failure, write_table
 
 __all__ = [
     "MeshOperator",
@@ -335,14 +335,8 @@ def export_solution_csv(op: MeshOperator, u, rhs, path) -> None:
     """Write `s,u` plus a sidecar .meta.txt with the q, w, H descriptors."""
     uv = _node_values(u)
     rv = _load(op, rhs)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("s,u\n")
-        for s, val in zip(op.grid.nodes, uv):
-            fh.write(f"{float(s)!r},{float(val)!r}\n")
-    with open(str(path) + ".meta.txt", "w", newline="\n") as fh:
-        fh.write(f"slope_cap {float(op.slope_cap)!r}\n")
-        fh.write("s w q_face(right) H\n")
-        q = np.append(op.q_faces, op.q_faces[-1])
-        for i, s in enumerate(op.grid.nodes):
-            fh.write(f"{float(s)!r} {float(op.w_nodes[i])!r} "
-                     f"{float(q[min(i, q.size - 1)])!r} {float(rv[i])!r}\n")
+    write_table(path, "s,u", (op.grid.nodes, uv))
+    # the last node repeats the last face's q
+    q = np.append(op.q_faces, op.q_faces[-1])
+    write_table(str(path) + ".meta.txt", f"slope_cap {float(op.slope_cap)!r}\ns w q_face(right) H",
+                (op.grid.nodes, op.w_nodes, q, rv), sep=" ")

@@ -25,7 +25,7 @@ import numpy as np
 from .barriers import ComparisonModel, _improper_trend
 from .geometry import StaticModel, base_curvature, modified_bakry_emery
 from .graphs import MeanCurvSpec, RadialGraph
-from .numerics import Antiderivative, quad
+from .numerics import Antiderivative, cumulative_quad
 from .reporting import EstimateReport, make_report
 
 __all__ = [
@@ -149,10 +149,21 @@ def _h_of(spec_or_fn):
     return lambda s: np.asarray(spec_or_fn(np.asarray(s, dtype=float)), dtype=float)
 
 
-def mean_H_average(model: StaticModel, spec, r: float) -> float:
-    """Weighted integral mean of H over the ball of radius r."""
+def mean_H_average(model: StaticModel, spec, r):
+    """Weighted integral mean of H over the ball of radius r, for each r.
+
+    ``r`` is a radius (returns a float) or an array of radii (returns one
+    value per radius, in input order), each above the domain's inner end.
+    All numerators come from one :func:`cumulative_quad` pass over the
+    sorted radii with its per-interval relative tolerance, so accuracy does
+    not depend on how fast the weighted volume grows.
+    """
     if not model.base.pole_anchored:
         raise ValueError("mean_H_average needs a pole-anchored model")
+    lo = model.base.s_domain[0]
+    radii = np.asarray(r, dtype=float)
+    if not np.all(radii > lo):
+        raise ValueError(f"mean_H_average needs radii r > {lo!r}")
     h_fn = _h_of(spec)
 
     def num(s):
@@ -160,10 +171,13 @@ def mean_H_average(model: StaticModel, spec, r: float) -> float:
         h, _, _ = model.warp.evaluate(s)
         return h_fn(s) * h * g ** (model.m - 1)
 
-    lo = model.base.s_domain[0]
-    numerator = quad(num, lo, r, tol=1e-12)
+    flat = radii.ravel()
+    order = np.argsort(flat)
+    numerator = np.empty(flat.size)
+    numerator[order] = cumulative_quad(num, np.concatenate(([lo], flat[order])))[1:]
     vc = _volumes(model)
-    return numerator * vc.omega / float(vc.vol(r))
+    mean = numerator.reshape(radii.shape) * vc.omega / vc.vol(radii)
+    return float(mean) if radii.ndim == 0 else mean
 
 
 def flux_identity_check(graph: RadialGraph, spec, s0: float, s1: float,
@@ -171,10 +185,13 @@ def flux_identity_check(graph: RadialGraph, spec, s0: float, s1: float,
     """Boundary flux difference against m int H h (ball or annulus form).
 
     The left side is reconstructed from the sampled slope (the angle route),
-    the right side is an independent quadrature of the prescribed curvature,
-    so the identity genuinely cross-checks the solver.
+    the right side is an independent quadrature of the prescribed curvature
+    (one :func:`cumulative_quad` interval, relative tolerance), so the
+    identity genuinely cross-checks the solver.
     """
     model = graph.model
+    if not s0 < s1:
+        raise ValueError("need s0 < s1")
     if s0 == 0 and not graph.pole_regular:
         raise ValueError("s0 = 0 requires a pole-regular graph")
     vc = _volumes(model)
@@ -199,7 +216,8 @@ def flux_identity_check(graph: RadialGraph, spec, s0: float, s1: float,
     if isinstance(spec, MeanCurvSpec) and spec.is_zero:
         rhs = 0.0
     else:
-        rhs = model.m * vc.omega * quad(integrand, max(s0, model.base.s_domain[0]), s1, tol=1e-13)
+        lo = max(s0, model.base.s_domain[0])
+        rhs = model.m * vc.omega * float(cumulative_quad(integrand, np.array([lo, s1]))[-1])
     margin = abs(lhs - rhs)
     return make_report(
         "flux-identity", lhs=lhs, rhs=rhs, margin=tol - margin, tol=0.0,
@@ -210,7 +228,7 @@ def flux_identity_check(graph: RadialGraph, spec, s0: float, s1: float,
 
 def log_volume_identity_check(model: StaticModel, R: float, r: float,
                               tol: float = 1e-8) -> EstimateReport:
-    """log vol(B_r) - log vol(B_R) against int_R^r bvol/vol."""
+    """log vol(B_r) - log vol(B_R) against int_R^r bvol/vol, one cumulative_quad interval."""
     if not 0 < R <= r:
         raise ValueError("need 0 < R <= r")
     vc = _volumes(model)
@@ -218,7 +236,7 @@ def log_volume_identity_check(model: StaticModel, R: float, r: float,
     if r == R:
         rhs = 0.0
     else:
-        rhs = quad(lambda s: vc.bvol(s) / vc.vol(s), R, r, tol=1e-12)
+        rhs = float(cumulative_quad(lambda s: vc.bvol(s) / vc.vol(s), np.array([R, r]))[-1])
     margin = abs(lhs - rhs)
     return make_report(
         "log-volume-identity", lhs=lhs, rhs=rhs, margin=tol - margin, tol=0.0,
@@ -346,7 +364,9 @@ def lambda1_estimate(model: StaticModel, r_trunc: float, mesh_n: int) -> float:
 def salavessa_check(graph: RadialGraph, spec, r_list, tol: float = 1e-9) -> EstimateReport:
     """m |mean H| <= sqrt(cosh^2 theta* - 1) bvol/vol on a radius list.
 
-    cosh theta* is the grid maximum, a recorded proxy for the supremum.
+    cosh theta* is the grid maximum, a recorded proxy for the supremum.  The
+    mean curvature averages of all radii come from one
+    :func:`mean_H_average` call.
     """
     if not graph.pole_regular:
         raise ValueError("salavessa_check needs a pole-regular graph")
@@ -354,18 +374,15 @@ def salavessa_check(graph: RadialGraph, spec, r_list, tol: float = 1e-9) -> Esti
     vc = _volumes(model)
     cosh_star = float(np.max(graph.cosh_theta))
     factor = math.sqrt(max(cosh_star**2 - 1.0, 0.0))
-    margins = []
-    rows = []
-    for r in np.asarray(r_list, dtype=float):
-        lhs = model.m * abs(mean_H_average(model, spec, float(r)))
-        rhs = factor * float(vc.bvol(r)) / float(vc.vol(r))
-        margins.append(rhs - lhs)
-        rows.append((float(r), lhs, rhs))
+    radii = np.asarray(r_list, dtype=float)
+    lhs = model.m * np.abs(mean_H_average(model, spec, radii))
+    rhs = factor * vc.bvol(radii) / vc.vol(radii)
+    margins = rhs - lhs
     worst = int(np.argmin(margins))
     return make_report(
-        "salavessa-bound", lhs=rows[worst][1], rhs=rows[worst][2],
-        margin=float(min(margins)), tol=tol,
-        grid_meta="radii " + " ".join(repr(float(x)) for x in np.asarray(r_list, dtype=float)),
+        "salavessa-bound", lhs=float(lhs[worst]), rhs=float(rhs[worst]),
+        margin=float(margins[worst]), tol=tol,
+        grid_meta="radii " + " ".join(repr(x) for x in radii.tolist()),
         notes=(f"cosh theta* proxy = grid max = {cosh_star!r}",),
     )
 
@@ -374,9 +391,11 @@ def cosh_lower_estimate_check(graph: RadialGraph, spec, R: float, r: float,
                               num_samples: int = 12, tol: float = 1e-8) -> EstimateReport:
     """Pointwise and integrated angle lower estimates on [R, r].
 
-    Pointwise: sqrt(cosh^2 theta - 1) bvol/vol >= m |mean H| at sampled
-    radii.  Integrated: the annulus maximum of sqrt(cosh^2 theta - 1) times
-    the log-volume difference quotient dominates the minimum of m |mean H|.
+    Pointwise: sqrt(cosh^2 theta - 1) bvol/vol >= m |mean H| at the grid
+    nodes nearest to evenly spaced sample radii (one :func:`mean_H_average`
+    call for all of them).  Integrated: the annulus maximum of
+    sqrt(cosh^2 theta - 1) times the log-volume difference quotient
+    dominates the minimum of m |mean H|.
     """
     if not graph.pole_regular:
         raise ValueError("cosh_lower_estimate_check needs a pole-regular graph")
@@ -386,25 +405,19 @@ def cosh_lower_estimate_check(graph: RadialGraph, spec, R: float, r: float,
     vc = _volumes(model)
     nodes = graph.grid.nodes
     samples = np.linspace(R, r, num_samples)
-    margins = []
-    mh_values = []
-    for s in samples:
-        i = int(np.argmin(np.abs(nodes - s)))
-        sn = float(nodes[i])
-        if sn <= 0:
-            continue
-        lhs = math.sqrt(max(graph.cosh_theta[i] ** 2 - 1.0, 0.0)) * float(vc.bvol(sn)) / float(vc.vol(sn))
-        mh = model.m * abs(mean_H_average(model, spec, sn))
-        mh_values.append(mh)
-        margins.append(lhs - mh)
-    mask = (nodes >= R) & (nodes <= r)
-    ann_max = float(np.max(np.sqrt(np.maximum(graph.cosh_theta[mask] ** 2 - 1.0, 0.0))))
+    idx = np.argmin(np.abs(nodes[None, :] - samples[:, None]), axis=1)
+    idx = idx[nodes[idx] > 0]
+    sn = nodes[idx]
+    sinh_theta = np.sqrt(np.maximum(graph.cosh_theta**2 - 1.0, 0.0))
+    lhs = sinh_theta[idx] * vc.bvol(sn) / vc.vol(sn)
+    mh = model.m * np.abs(mean_H_average(model, spec, sn))
+    ann_max = float(np.max(sinh_theta[(nodes >= R) & (nodes <= r)]))
     logdiff = (float(np.log(vc.vol(r))) - float(np.log(vc.vol(R)))) / (r - R)
-    integrated_margin = ann_max * logdiff - min(mh_values)
-    margins.append(integrated_margin)
+    integrated_margin = ann_max * logdiff - float(np.min(mh))
+    margin = min(float(np.min(lhs - mh)), integrated_margin)
     return make_report(
-        "cosh-lower-estimate", lhs=float(min(margins)), rhs=0.0,
-        margin=float(min(margins)), tol=tol,
+        "cosh-lower-estimate", lhs=margin, rhs=0.0,
+        margin=margin, tol=tol,
         grid_meta=f"[{R}, {r}] with {num_samples} samples",
         notes=(f"integrated-form margin {integrated_margin:.6g}",),
     )
@@ -441,9 +454,10 @@ def growth_diagnostics(model: StaticModel, r_max: float) -> GrowthDiagnostics:
     """Trends of the four growth conditions at r_max.
 
     Improper integrals are classified by the ratio of their increments over
-    the last two decades (thresholds 0.95 / 0.75); limit sequences by their
-    relative change over the last decade.  'inconclusive' is an allowed
-    verdict.
+    the last two decades (thresholds 0.95 / 0.75); their running values at
+    the decades come from one :func:`cumulative_quad` pass each.  Limit
+    sequences are classified by their relative change over the last decade.
+    'inconclusive' is an allowed verdict.
     """
     if not model.base.pole_anchored:
         raise ValueError("growth_diagnostics needs a pole-anchored model")
@@ -454,18 +468,10 @@ def growth_diagnostics(model: StaticModel, r_max: float) -> GrowthDiagnostics:
     linfi_v = float(np.log(vc.vol(r_max))) / r_max**2
     linfi_half = float(np.log(vc.vol(r_max / 2.0))) / (r_max / 2.0) ** 2
 
-    r0 = r_max / 1000.0
-    decades = [r_max / 100.0, r_max / 10.0, r_max]
+    radii = np.array([r_max / 1000.0, r_max / 100.0, r_max / 10.0, r_max])
 
     def running(weight_power: int):
-        vals = []
-        acc = 0.0
-        lo = r0
-        for hi in decades:
-            acc += quad(lambda s: 1.0 / vc.bvol(s, weight_power), lo, hi, tol=1e-11)
-            vals.append(acc)
-            lo = hi
-        return vals
+        return cumulative_quad(lambda s: 1.0 / vc.bvol(s, weight_power), radii)[1:].tolist()
 
     notl1_vals = running(1)
     hnotl1_vals = running(2)

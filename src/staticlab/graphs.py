@@ -24,7 +24,7 @@ import numpy as np
 
 from .geometry import StaticModel
 from .numerics import Grid, cumulative_order3, cumulative_quad, fd_derivative
-from .reporting import EstimateReport, make_report
+from .reporting import EstimateReport, make_report, write_table
 
 __all__ = [
     "MeanCurvSpec",
@@ -256,10 +256,5 @@ def gauge_consistency_check(graph: RadialGraph, tol: float = 1e-6) -> EstimateRe
 
 
 def export_graph_csv(graph: RadialGraph, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("s,tau,slope,flux,cosh_theta\n")
-        for i, s in enumerate(graph.grid.nodes):
-            fh.write(
-                f"{float(s)!r},{float(graph.tau[i])!r},{float(graph.slope[i])!r},"
-                f"{float(graph.flux[i])!r},{float(graph.cosh_theta[i])!r}\n"
-            )
+    write_table(path, "s,tau,slope,flux,cosh_theta",
+                (graph.grid.nodes, graph.tau, graph.slope, graph.flux, graph.cosh_theta))

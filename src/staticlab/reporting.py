@@ -87,6 +87,20 @@ def write_reports_csv(reports, path) -> None:
         fh.write(reports_to_csv(reports))
 
 
+def write_table(path, header: str, columns, sep: str = ",") -> None:
+    """Write equal-length float columns as rows under ``header``.
+
+    Each value is written as ``repr(float)``, so the file reads back
+    bit-exactly.  Values are converted as their rows are written: neither
+    the file's text nor a list of its floats is held in memory at once.
+    """
+    cols = [map(float, np.asarray(c, dtype=float)) for c in columns]
+    row_format = sep.join(["%r"] * len(cols)) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row_format % row for row in zip(*cols))
+
+
 def reports_to_text(reports) -> str:
     out = io.StringIO()
     width = max([len(r.name) for r in reports] + [5])

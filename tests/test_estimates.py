@@ -108,6 +108,31 @@ class TestMeanH:
     def test_zero(self, euclid_model):
         assert mean_H_average(euclid_model, zero_H(), 1.0) == 0.0
 
+    def test_constant_array_to_large_radii(self, hyperbolic_model):
+        # the ball integral grows like e^r; relative per-interval tolerances hold at any radius
+        radii = np.linspace(0.5, 20.0, 12)
+        values = mean_H_average(hyperbolic_model, constant_H(0.37), radii)
+        assert values.shape == radii.shape
+        assert np.max(np.abs(values - 0.37)) <= 1e-13
+
+    def test_unsorted_radii_keep_input_order(self, hyperbolic_model):
+        radii = np.array([5.0, 1.0, 3.0, 1.0, 2.5])
+        spec = MeanCurvSpec("radial", H_fn=lambda s: 1.0 / (1.0 + np.asarray(s, dtype=float)))
+        values = mean_H_average(hyperbolic_model, spec, radii)
+        ordered = np.sort(radii)
+        sorted_values = mean_H_average(hyperbolic_model, spec, ordered)
+        for r, v in zip(radii, values):
+            assert v == sorted_values[np.searchsorted(ordered, r)]
+        assert values[1] == values[3]
+        assert isinstance(mean_H_average(hyperbolic_model, spec, 2.5), float)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_rejects_radius_at_or_below_pole(self, hyperbolic_model, r):
+        with pytest.raises(ValueError, match="radii r >"):
+            mean_H_average(hyperbolic_model, constant_H(0.37), r)
+        with pytest.raises(ValueError, match="radii r >"):
+            mean_H_average(hyperbolic_model, constant_H(0.37), np.array([1.0, r]))
+
 
 class TestFluxIdentity:
     def test_hyperbolic_cmc_ball(self, hyperbolic_model):
@@ -117,6 +142,21 @@ class TestFluxIdentity:
         assert rep.verdict
         assert rep.lhs == pytest.approx(2 * math.pi * (math.cosh(1.0) - 1.0), abs=1e-8)
         assert rep.lhs == pytest.approx(3.4122763, abs=1e-6)
+
+    @pytest.mark.parametrize("s1", [8.5, 11.0])
+    def test_hyperbolic_cmc_large_radius(self, hyperbolic_model, s1):
+        g = solve_radial_graph(hyperbolic_model, constant_H(0.5), Anchor.pole(),
+                               Grid.uniform(0.0, 24.0, 4801))
+        rep = flux_identity_check(g, constant_H(0.5), 0.0, s1)
+        exact = 2 * math.pi * (math.cosh(s1) - 1.0)
+        assert abs(rep.rhs - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("spec", [constant_H(0.5), zero_H()])
+    def test_rejects_empty_interval(self, hyperbolic_model, spec):
+        g = solve_radial_graph(hyperbolic_model, spec, Anchor.pole(), Grid.uniform(0.0, 4.0, 401))
+        for s0, s1 in ((2.0, 2.0), (3.0, 1.0)):
+            with pytest.raises(ValueError, match="need s0 < s1"):
+                flux_identity_check(g, spec, s0, s1)
 
     def test_maximal_annulus(self, euclid_annulus):
         g = solve_radial_graph(euclid_annulus, zero_H(), Anchor.point(1.0, 0.0, 1.0),
@@ -277,6 +317,11 @@ class TestGrowth:
         assert value <= 2.0 * math.sqrt(0.5)  # m sqrt(G0) with minimal G0 = 1/2
         assert gd.notl1[1] == "converging"
         assert gd.hnotl1[1] == "converging"
+
+    def test_hyperbolic_notl1_closed_form(self, hyperbolic_model):
+        # int_{0.1}^{100} ds / (2 pi sinh s) = ln(tanh 50 / tanh 0.05) / (2 pi)
+        gd = growth_diagnostics(hyperbolic_model, 100.0)
+        assert abs(gd.notl1[0] - 0.476918151322639903) <= 1e-14
 
     def test_euclid(self, euclid_model):
         gd = growth_diagnostics(euclid_model, 100.0)
