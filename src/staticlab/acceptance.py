@@ -337,12 +337,16 @@ def criterion_9(seed=42, tol_scale=1.0) -> CriterionResult:
         ok &= clause
         details.append(f"pseudo-Jacobi m={m}: min gap over 1e4 samples = {worst:.3e} (>= -1e-10): "
                        f"{'ok' if clause else 'FAIL'}")
+
+    def norms(a):
+        return np.sqrt(np.einsum("ni,ni->n", a, a))
+
     rng = np.random.default_rng(seed)
     n = 100_000
     xs = rng.uniform(-1.0, 1.0, size=(n, 3))
-    xs *= (rng.uniform(0.0, 0.98, size=n) / np.maximum(np.linalg.norm(xs, axis=1), 1e-15))[:, None]
+    xs *= (rng.uniform(0.0, 0.98, size=n) / np.maximum(norms(xs), 1e-15))[:, None]
     ys = rng.uniform(-1.0, 1.0, size=(n, 3))
-    ys *= (rng.uniform(0.0, 0.98, size=n) / np.maximum(np.linalg.norm(ys, axis=1), 1e-15))[:, None]
+    ys *= (rng.uniform(0.0, 0.98, size=n) / np.maximum(norms(ys), 1e-15))[:, None]
     ys[:1000] = xs[:1000]  # exact equality block
     ys[1000:2000] = xs[1000:2000] * (1.0 - 1e-9)  # near-equality block
     gaps = tensors.coercivity_gap_batch(xs, ys)
@@ -351,7 +355,7 @@ def criterion_9(seed=42, tol_scale=1.0) -> CriterionResult:
     ok &= clause
     details.append(f"coercivity: min gap over 1e5 pairs = {worst:.3e} (>= 0): {'ok' if clause else 'FAIL'}")
     small = gaps <= 1e-12
-    dist = np.linalg.norm(xs - ys, axis=1)
+    dist = norms(xs - ys)
     clause = bool(np.all(dist[small] <= 1e-6)) and int(np.sum(small)) >= 1000
     ok &= clause
     details.append(f"quantified equality case: {int(np.sum(small))} pairs with gap <= 1e-12, "

@@ -2,9 +2,12 @@
 
 Kulkarni-Nomizu products, assembly of the static-spacetime curvature tensor
 in a Lorentz orthonormal frame, the coercivity gap of the Lorentzian
-mean-curvature operator, and the pseudo-Jacobi / Newton inequalities used by
-the gradient estimate.  Dimensions stay tiny (n <= 8), so everything is
-plain dense numpy.
+mean-curvature operator, and the pseudo-Jacobi inequality used by the
+gradient estimate.  Dimensions stay tiny (n <= 8).  The curvature tensors
+are plain dense numpy; the batch kernels sweep many points at once and
+treat the metrics a_up = id + Theta^2 u(x)u and a_down = id - u(x)u as
+rank-one updates of id, so they never form or multiply m x m metric
+matrices.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ __all__ = [
     "coercivity_gap_batch",
     "pseudo_jacobi_gap_batch",
     "project_a_tracefree_batch",
-    "newton_gap",
     "sample_gradhess_batch",
 ]
 
@@ -148,13 +150,13 @@ def coercivity_gap_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
     Nonnegative for |X|, |Y| < 1; a row on or outside the unit ball raises.
     """
-    nx = np.sum(xs * xs, axis=1)
-    ny = np.sum(ys * ys, axis=1)
+    nx = np.einsum("ni,ni->n", xs, xs)
+    ny = np.einsum("ni,ni->n", ys, ys)
     if np.any(nx >= 1.0) or np.any(ny >= 1.0):
         raise ValueError("coercivity_gap needs |X| < 1 and |Y| < 1")
     fx = xs / np.sqrt(1.0 - nx)[:, None]
     fy = ys / np.sqrt(1.0 - ny)[:, None]
-    return np.sum((fx - fy) * (xs - ys), axis=1)
+    return np.einsum("ni,ni->n", fx - fy, xs - ys)
 
 
 def project_a_tracefree_batch(us: np.ndarray, hs: np.ndarray) -> np.ndarray:
@@ -162,14 +164,19 @@ def project_a_tracefree_batch(us: np.ndarray, hs: np.ndarray) -> np.ndarray:
 
     With a_up = id + Theta^2 u(x)u, Theta = 1/sqrt(1-|u|^2), subtracts
     (tr_a h / tr_a id) * id, which keeps symmetry and lands the maximality
-    constraint exactly (up to roundoff).
+    constraint exactly (up to roundoff).  a_up is a rank-one update of id, so
+    with v = h u the traces are tr_a h = tr h + Theta^2 u.v and
+    tr_a id = m + Theta^2 |u|^2; no m x m matrix besides h is formed.
     """
-    th2 = 1.0 / (1.0 - np.sum(us * us, axis=1))
-    eye = np.eye(us.shape[1])
-    a_up = eye[None, :, :] + th2[:, None, None] * np.einsum("ni,nj->nij", us, us)
+    m = us.shape[1]
+    nu = np.einsum("ni,ni->n", us, us)
+    th2 = 1.0 / (1.0 - nu)
     hs = 0.5 * (hs + np.swapaxes(hs, 1, 2))
-    c = np.einsum("nij,nij->n", a_up, hs) / np.einsum("nii->n", a_up)
-    return hs - c[:, None, None] * eye[None, :, :]
+    v = np.einsum("nij,nj->ni", hs, us)
+    tr_a = np.einsum("nii->n", hs) + th2 * np.einsum("ni,ni->n", us, v)
+    diag = np.arange(m)
+    hs[:, diag, diag] -= (tr_a / (m + th2 * nu))[:, None]
+    return hs
 
 
 def pseudo_jacobi_gap_batch(us: np.ndarray, hs: np.ndarray, alpha: float) -> np.ndarray:
@@ -177,43 +184,32 @@ def pseudo_jacobi_gap_batch(us: np.ndarray, hs: np.ndarray, alpha: float) -> np.
 
     Theta = 1/sqrt(1-|u|^2), a_up = id + Theta^2 u(x)u, a_down = id - u(x)u
     (mutually inverse) and B = a_up . hess.  Each gradient needs |u| < 1,
-    alpha must lie in (0, 1/(m-1)], and each Hessian must be a-trace-free
-    (the maximality constraint; tr B beyond 1e-10 raises).
+    alpha must lie in (0, 1/(m-1)], and each (symmetric) Hessian must be
+    a-trace-free (the maximality constraint; tr B beyond 1e-10 raises).
+
+    a_up is a rank-one update of id, so with v = hess u:
+    B = hess + Theta^2 u v^T and tr B = tr hess + Theta^2 u.v.  As B u = a_up v
+    and a_down inverts a_up, a_down(B u, B u) = a_up(v, v) = |v|^2 + Theta^2 (u.v)^2,
+    a sum of two nonnegative terms where |B u|^2 - (u.B u)^2 would cancel
+    near the null cone.
     """
-    n, m = us.shape
-    nu = np.sum(us * us, axis=1)
+    m = us.shape[1]
+    nu = np.einsum("ni,ni->n", us, us)
     if np.any(nu >= 1.0):
         raise ValueError("pseudo_jacobi_gap needs |u| < 1")
     if not 0.0 < alpha <= 1.0 / (m - 1):
         raise ValueError("alpha must lie in (0, 1/(m-1)]")
     th2 = 1.0 / (1.0 - nu)
-    eye = np.eye(m)
-    a_up = eye[None, :, :] + th2[:, None, None] * np.einsum("ni,nj->nij", us, us)
-    a_dn = eye[None, :, :] - np.einsum("ni,nj->nij", us, us)
-    b = np.einsum("nik,nkj->nij", a_up, hs)
+    v = np.einsum("nij,nj->ni", hs, us)
+    uv = np.einsum("ni,ni->n", us, v)
+    b = np.einsum("ni,nj->nij", th2[:, None] * us, v)
+    b += hs
     scale = np.maximum(1.0, np.max(np.abs(b), axis=(1, 2)))
-    if np.any(np.abs(np.einsum("nii->n", b)) > 1e-10 * scale):
+    if np.any(np.abs(np.einsum("nii->n", hs) + th2 * uv) > 1e-10 * scale):
         raise ValueError("pseudo_jacobi_gap: hessian is not a-trace-free")
     tr_b2 = np.einsum("nij,nji->n", b, b)
-    bu = np.einsum("nij,nj->ni", b, us)
-    second = np.einsum("ni,nij,nj->n", bu, a_dn, bu)
+    second = np.einsum("ni,ni->n", v, v) + th2 * uv * uv
     return tr_b2 - (alpha + 1.0) * th2 * second
-
-
-def newton_gap(lambdas) -> float:
-    """(m-1) sum_{i>=2} lambda_i^2 - lambda_1^2 for a trace-free spectrum.
-
-    lambda_1 is the entry of largest square; the zero-sum constraint is
-    enforced to 1e-10.
-    """
-    lam = np.sort(np.asarray(lambdas, dtype=float))
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if abs(np.sum(lam)) > 1e-10 * scale:
-        raise ValueError("newton_gap: eigenvalues must sum to zero")
-    order = np.lexsort((-lam, -lam**2))
-    lam = lam[order]
-    m = lam.size
-    return float((m - 1) * np.sum(lam[1:] ** 2) - lam[0] ** 2)
 
 
 def sample_gradhess_batch(seed: int, count: int, m: int):

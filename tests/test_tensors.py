@@ -17,7 +17,6 @@ from staticlab.tensors import (
     SymForm,
     coercivity_gap_batch,
     kulkarni_nomizu,
-    newton_gap,
     project_a_tracefree_batch,
     pseudo_jacobi_gap_batch,
     sample_gradhess_batch,
@@ -38,6 +37,37 @@ def pseudo_jacobi_gap(u, hess, alpha) -> float:
 def project_a_tracefree(u, hess) -> np.ndarray:
     """One point through the batch function."""
     return project_a_tracefree_batch(np.atleast_2d(u), np.asarray(hess, dtype=float)[None])[0]
+
+
+def newton_gap(lambdas) -> float:
+    """(m-1) sum_{i>=2} lambda_i^2 - lambda_1^2 for a trace-free spectrum.
+
+    lambda_1 is the entry of largest square; the zero-sum constraint is
+    enforced to 1e-10.
+    """
+    lam = np.sort(np.asarray(lambdas, dtype=float))
+    scale = max(1.0, float(np.max(np.abs(lam))))
+    if abs(np.sum(lam)) > 1e-10 * scale:
+        raise ValueError("newton_gap: eigenvalues must sum to zero")
+    order = np.lexsort((-lam, -lam**2))
+    lam = lam[order]
+    m = lam.size
+    return float((m - 1) * np.sum(lam[1:] ** 2) - lam[0] ** 2)
+
+
+def dense_metrics(us):
+    """a_up = id + Theta^2 u(x)u and a_down = id - u(x)u as n x m x m arrays, with Theta^2."""
+    eye = np.eye(us.shape[1])[None]
+    uu = np.einsum("ni,nj->nij", us, us)
+    th2 = 1.0 / (1.0 - np.sum(us * us, axis=1))
+    return eye + th2[:, None, None] * uu, eye - uu, th2
+
+
+def gradients_to_edge(seed, count, m):
+    """Sampled gradients with every fourth one pushed out to |u| = 0.99."""
+    us, _ = sample_gradhess_batch(seed, count, m)
+    us[::4] *= 0.99 / np.linalg.norm(us[::4], axis=1)[:, None]
+    return us
 
 
 class TestKulkarniNomizu:
@@ -220,6 +250,48 @@ class TestPseudoJacobi:
             bu = b @ u
             ref = np.trace(b @ b) - 1.5 * th2 * (bu @ (np.eye(3) - np.outer(u, u)) @ bu)
             assert gaps[i] == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_gap_matches_dense(self, m):
+        # reference: B = a_up @ hess as a dense matrix product per point
+        us = gradients_to_edge(300 + m, 4000, m)
+        raw = np.random.default_rng(400 + m).uniform(-5.0, 5.0, (4000, m, m))
+        hs = project_a_tracefree_batch(us, raw)
+        a_up, a_dn, th2 = dense_metrics(us)
+        alpha = 1.0 / (m - 1)
+        b = a_up @ hs
+        bu = np.einsum("nij,nj->ni", b, us)
+        ref = np.einsum("nij,nji->n", b, b) - (alpha + 1.0) * th2 * np.einsum("ni,nij,nj->n", bu, a_dn, bu)
+        gaps = pseudo_jacobi_gap_batch(us, hs, alpha)
+        assert np.all(np.abs(gaps - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_projection_matches_dense(self, m):
+        us = gradients_to_edge(500 + m, 4000, m)
+        raw = np.random.default_rng(600 + m).uniform(-5.0, 5.0, (4000, m, m))
+        out = project_a_tracefree_batch(us, raw)
+        a_up, _, _ = dense_metrics(us)
+        assert np.array_equal(out, np.swapaxes(out, 1, 2))
+        assert float(np.max(np.abs(np.einsum("nij,nij->n", a_up, out)))) <= 1e-12
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_sampler_draw_stream_pinned(self, m):
+        # the rejection loop as first written; the sweep's points depend on
+        # its exact draw order
+        seed, count = 700 + m, 10_000
+        rng = np.random.default_rng(seed)
+        ref = np.empty((count, m))
+        filled = 0
+        while filled < count:
+            block = rng.uniform(-1.0, 1.0, size=(2 * (count - filled) + 16, m))
+            ok = block[np.sum(block * block, axis=1) <= 0.99**2]
+            take = min(ok.shape[0], count - filled)
+            ref[filled : filled + take] = ok[:take]
+            filled += take
+        raw = rng.uniform(-5.0, 5.0, size=(count, m, m))
+        us, hs = sample_gradhess_batch(seed, count, m)
+        assert np.array_equal(us, ref)
+        assert np.array_equal(hs, project_a_tracefree_batch(ref, raw))
 
     def test_projection_batch_exact(self):
         us, hs = sample_gradhess_batch(5, 500, 4)
