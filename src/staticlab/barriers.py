@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import schwarzschild_profile, schwarzschild_s_of_rho, schwarzschild_warp
+from .geometry import RadialBase, StaticModel, schwarzschild_profile, schwarzschild_s_of_rho, schwarzschild_warp
 from .numerics import Grid, SampledFunction, cumulative_order3, cumulative_quad, fd_derivative
 from .reporting import EstimateReport, make_report, write_table
 
@@ -179,21 +179,18 @@ def build_barrier_schwarzschild(mu, m, rho1, rho2, beta, H0, rho_max=40.0, n=400
     """
     if not (rho2 > rho1 and rho_max > rho2 and H0 > 0):
         raise ValueError("need rho1 < rho2 < rho_max and H0 > 0")
-    prof = schwarzschild_profile(mu, m)
-    warp = schwarzschild_warp(mu, m)
     R = schwarzschild_s_of_rho(mu, m, rho1)
     r = schwarzschild_s_of_rho(mu, m, rho2)
     s_max = schwarzschild_s_of_rho(mu, m, rho_max)
+    model = StaticModel(RadialBase(m, schwarzschild_profile(mu, m), (R, s_max)), schwarzschild_warp(mu, m))
     nodes, j = _uniform_grid_through(R, r, s_max, n)
 
-    g, _, _ = prof.evaluate(nodes)
-    h, _, _ = warp.evaluate(nodes)
-    w = g ** (m - 1)
+    at_nodes = model.sample(nodes)
+    h, w = at_nodes.h, at_nodes.w
 
     def integrand(s):
-        gg, _, _ = prof.evaluate(np.asarray(s, dtype=float))
-        hh, _, _ = warp.evaluate(np.asarray(s, dtype=float))
-        return m * H0 * hh * gg ** (m - 1)
+        smp = model.sample(s)
+        return m * H0 * smp.h * smp.w
 
     big_i = cumulative_quad(integrand, nodes, tol=1e-14)
     C = 1.0

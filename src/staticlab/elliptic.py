@@ -85,27 +85,10 @@ class MeshOperator:
             raise ValueError("w_nodes must be positive (keep the pole off the mesh)")
 
     @classmethod
-    def from_functions(cls, grid: Grid, w_fn, q_fn, slope_cap: float = DEFAULT_SLOPE_CAP) -> "MeshOperator":
-        faces = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
-        return cls(
-            grid=grid,
-            w_nodes=np.asarray(w_fn(grid.nodes), dtype=float),
-            w_faces=np.asarray(w_fn(faces), dtype=float),
-            q_faces=np.asarray(q_fn(faces), dtype=float),
-            slope_cap=slope_cap,
-        )
-
-    @classmethod
     def from_model(cls, model: StaticModel, grid: Grid, slope_cap: float = DEFAULT_SLOPE_CAP) -> "MeshOperator":
-        def w_fn(s):
-            g, _, _ = model.base.profile.evaluate(np.asarray(s, dtype=float))
-            return np.asarray(g, dtype=float) ** (model.m - 1)
-
-        def q_fn(s):
-            h, _, _ = model.warp.evaluate(np.asarray(s, dtype=float))
-            return np.asarray(h, dtype=float)
-
-        return cls.from_functions(grid, w_fn, q_fn, slope_cap)
+        at_faces = model.sample(0.5 * (grid.nodes[:-1] + grid.nodes[1:]))
+        return cls(grid=grid, w_nodes=model.sample(grid.nodes).w, w_faces=at_faces.w, q_faces=at_faces.h,
+                   slope_cap=slope_cap)
 
     @property
     def ds_cells(self) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .barriers import ComparisonModel, _improper_trend
 from .geometry import StaticModel, base_curvature, modified_bakry_emery
-from .graphs import MeanCurvSpec, RadialGraph
+from .graphs import MeanCurvSpec, RadialGraph, _flux_density
 from .numerics import Antiderivative, cumulative_quad
 from .reporting import EstimateReport, make_report
 
@@ -64,22 +64,19 @@ def sphere_area(m: int) -> float:
 class _VolumeCache:
     """Weighted volume machinery of one model, built lazily.
 
-    Holds the model's profile and warp, not the model itself, so the cache
-    stored on the model forms no reference cycle and is freed with it.
+    Samples through a twin of the model (the same base and warp, without
+    this cache), not the model itself, so the cache stored on the model
+    forms no reference cycle and is freed with it.
     """
 
     def __init__(self, model: StaticModel):
-        profile, warp, m = model.base.profile, model.warp, model.m
-        self.profile = profile
-        self.warp = warp
-        self.m = m
-        self.omega = sphere_area(m)
+        twin = self._twin = StaticModel(model.base, model.warp)
+        self.omega = sphere_area(model.m)
         lo, hi = model.base.s_domain
 
         def integrand(s):
-            g, _, _ = profile.evaluate(np.asarray(s, dtype=float))
-            h, _, _ = warp.evaluate(np.asarray(s, dtype=float))
-            return np.asarray(h, dtype=float) * np.asarray(g, dtype=float) ** (m - 1)
+            smp = twin.sample(s)
+            return smp.h * smp.w
 
         self._anti = Antiderivative(integrand, lo, min(hi, lo + max(8.0, hi - lo)))
 
@@ -87,11 +84,8 @@ class _VolumeCache:
         return self.omega * self._anti(r)
 
     def bvol(self, r, weight_power: int = 1):
-        g, _, _ = self.profile.evaluate(r)
-        h, _, _ = self.warp.evaluate(r)
-        return self.omega * np.asarray(h, dtype=float) ** weight_power * np.asarray(g, dtype=float) ** (
-            self.m - 1
-        )
+        smp = self._twin.sample(r)
+        return self.omega * smp.h ** weight_power * smp.w
 
 
 def _volumes(model: StaticModel) -> _VolumeCache:
@@ -121,8 +115,9 @@ def weighted_volumes(model: StaticModel, r_list) -> WeightedVolumeTable:
     if not model.base.pole_anchored:
         raise ValueError("ball volumes need a pole-anchored model (annulus given); "
                          "use weighted_volume_annulus instead")
-    vc = _volumes(model)
     radii = np.asarray(r_list, dtype=float)
+    model.base.check_domain(radii)
+    vc = _volumes(model)
     return WeightedVolumeTable(
         radii=radii,
         vol=np.asarray(vc.vol(radii), dtype=float),
@@ -135,6 +130,7 @@ def weighted_volume_annulus(model: StaticModel, s0: float, s1: float) -> tuple[f
     """(annulus volume, inner boundary volume, outer boundary volume)."""
     if not s0 < s1:
         raise ValueError("need s0 < s1")
+    model.base.check_domain((s0, s1))
     vc = _volumes(model)
     return (
         float(vc.vol(s1) - vc.vol(s0)),
@@ -164,17 +160,12 @@ def mean_H_average(model: StaticModel, spec, r):
     radii = np.asarray(r, dtype=float)
     if not np.all(radii > lo):
         raise ValueError(f"mean_H_average needs radii r > {lo!r}")
-    h_fn = _h_of(spec)
-
-    def num(s):
-        g, _, _ = model.base.profile.evaluate(s)
-        h, _, _ = model.warp.evaluate(s)
-        return h_fn(s) * h * g ** (model.m - 1)
-
+    model.base.check_domain(radii)
     flat = radii.ravel()
     order = np.argsort(flat)
     numerator = np.empty(flat.size)
-    numerator[order] = cumulative_quad(num, np.concatenate(([lo], flat[order])))[1:]
+    numerator[order] = cumulative_quad(_flux_density(model, _h_of(spec)),
+                                       np.concatenate(([lo], flat[order])))[1:]
     vc = _volumes(model)
     mean = numerator.reshape(radii.shape) * vc.omega / vc.vol(radii)
     return float(mean) if radii.ndim == 0 else mean
@@ -196,28 +187,17 @@ def flux_identity_check(graph: RadialGraph, spec, s0: float, s1: float,
         raise ValueError("s0 = 0 requires a pole-regular graph")
     vc = _volumes(model)
 
-    def boundary_flux(s: float) -> float:
-        if s == 0.0:
-            return 0.0
-        i = graph.node_index(s)
-        g, _, _ = model.base.profile.evaluate(s)
-        h, _, _ = model.warp.evaluate(s)
-        p = h * graph.slope[i]
-        return vc.omega * g ** (model.m - 1) * h * p / np.sqrt(1.0 - p * p)
-
-    lhs = boundary_flux(s1) - boundary_flux(s0)
-    h_fn = _h_of(spec)
-
-    def integrand(s):
-        g, _, _ = model.base.profile.evaluate(s)
-        h, _, _ = model.warp.evaluate(s)
-        return h_fn(s) * h * g ** (model.m - 1)
-
+    ends = np.array([s0, s1])
+    smp = model.sample(ends)
+    p = smp.h * graph.slope[[graph.node_index(s) for s in ends]]
+    flux = vc.omega * smp.w * smp.h * p / np.sqrt(1.0 - p * p)
+    lhs = flux[1] - (0.0 if s0 == 0.0 else flux[0])
     if isinstance(spec, MeanCurvSpec) and spec.is_zero:
         rhs = 0.0
     else:
         lo = max(s0, model.base.s_domain[0])
-        rhs = model.m * vc.omega * float(cumulative_quad(integrand, np.array([lo, s1]))[-1])
+        rhs = model.m * vc.omega * float(cumulative_quad(_flux_density(model, _h_of(spec)),
+                                                         np.array([lo, s1]))[-1])
     margin = abs(lhs - rhs)
     return make_report(
         "flux-identity", lhs=lhs, rhs=rhs, margin=tol - margin, tol=0.0,
@@ -231,6 +211,7 @@ def log_volume_identity_check(model: StaticModel, R: float, r: float,
     """log vol(B_r) - log vol(B_R) against int_R^r bvol/vol, one cumulative_quad interval."""
     if not 0 < R <= r:
         raise ValueError("need 0 < R <= r")
+    model.base.check_domain((R, r))
     vc = _volumes(model)
     lhs = float(np.log(vc.vol(r)) - np.log(vc.vol(R))) if r > R else 0.0
     if r == R:
@@ -257,7 +238,7 @@ def bishop_gromov_check(model: StaticModel, cmp: ComparisonModel, s_list,
     ratios = np.asarray(vc.bvol(s_arr), dtype=float) / cmp.k(s_arr) ** model.m
     drops = ratios[:-1] - ratios[1:]
     margin = float(np.min(drops))
-    worst_eig = min(min(modified_bakry_emery(model, float(s))) for s in s_arr)
+    worst_eig = float(min(np.min(eig) for eig in modified_bakry_emery(model, s_arr)))
     hypothesis_ok = worst_eig >= -model.m * cmp.G0 - 1e-9
     note = (
         f"modified Bakry-Emery bound: min eigenvalue {worst_eig:.6g} vs -m G0 = {-model.m * cmp.G0:.6g}"
@@ -288,6 +269,7 @@ def cheeger_profile(model: StaticModel, r_max: float, num: int = 24) -> CheegerP
     """
     if not model.base.pole_anchored:
         raise ValueError("cheeger_profile needs a pole-anchored model")
+    model.base.check_domain(r_max)
     vc = _volumes(model)
     radii = np.geomspace(r_max / 50.0, r_max, num)
     ratios = np.asarray(vc.bvol(radii), dtype=float) / np.asarray(vc.vol(radii), dtype=float)
@@ -352,11 +334,11 @@ def lambda1_estimate(model: StaticModel, r_trunc: float, mesh_n: int) -> float:
     if not model.base.pole_anchored:
         raise ValueError("lambda1_estimate needs a pole-anchored model")
 
+    model.base.check_domain(r_trunc)
+
     def weight(s):
-        s_arr = np.maximum(np.asarray(s, dtype=float), 0.0)
-        g, _, _ = model.base.profile.evaluate(s_arr)
-        h, _, _ = model.warp.evaluate(s_arr)
-        return np.asarray(h, dtype=float) * np.asarray(g, dtype=float) ** (model.m - 1)
+        smp = model.sample(np.maximum(np.asarray(s, dtype=float), 0.0))
+        return smp.h * smp.w
 
     return dirichlet_lambda1(weight, r_trunc, mesh_n, left_bc="natural")
 
@@ -461,6 +443,7 @@ def growth_diagnostics(model: StaticModel, r_max: float) -> GrowthDiagnostics:
     """
     if not model.base.pole_anchored:
         raise ValueError("growth_diagnostics needs a pole-anchored model")
+    model.base.check_domain(r_max)
     vc = _volumes(model)
 
     v_g = float(np.log(vc.vol(r_max))) / r_max
@@ -497,10 +480,8 @@ def angle_bound_check(graph: RadialGraph, G: float, t0: float, tol: float = 1e-9
         raise ValueError("angle_bound_check needs a maximal graph (flux not constant)")
     nodes = graph.grid.nodes
     probe = nodes[nodes > max(nodes[0], 1e-6)]
-    worst = 0.0
-    for s in probe[:: max(1, probe.size // 32)]:
-        cs = base_curvature(model.base, float(s))
-        worst = min(worst, cs.ric_rr, cs.ric_tt)
+    cs = base_curvature(model.base, probe[:: max(1, probe.size // 32)])
+    worst = float(min(np.min(cs.ric_rr, initial=0.0), np.min(cs.ric_tt, initial=0.0)))
     g_min = max(0.0, -worst / (model.m - 1))
     if G < g_min * (1.0 - 1e-9):
         raise ValueError(f"G = {G} is below the admissible Ricci constant {g_min}")
@@ -601,8 +582,8 @@ def angle_machine_step1(graph: RadialGraph, params: AngleMachineParams, t0: floa
     elif interior:
         zpp = (zeta[x0 + 1] - 2.0 * zeta[x0] + zeta[x0 - 1]) / ds**2
         zp = (zeta[x0 + 1] - zeta[x0 - 1]) / (2.0 * ds)
-        g, gp, _ = model.base.profile.evaluate(float(nodes[x0]))
-        lzeta = zpp * (1.0 + theta[x0] ** 2 * graph.slope[x0] ** 2) + (model.m - 1) * (gp / g) * zp
+        smp = model.sample(nodes[x0])
+        lzeta = zpp * (1.0 + theta[x0] ** 2 * graph.slope[x0] ** 2) + (model.m - 1) * (smp.gp / smp.g) * zp
         smooth = in_support
     else:
         lzeta = float("nan")

@@ -5,8 +5,12 @@ profile g; the spacetime model adds a positive radial warp h and carries the
 metric sigma - h^2 dt^2.  This module supplies the built-in profiles
 (Euclidean, hyperbolic, Schwarzschild exterior, tabulated), the coordinate
 change between the Schwarzschild area radius rho and the geodesic radial
-coordinate s, frame curvature components, radial Hessians/Laplacians, and
-the Ricci tensor of the model assembled from base data.
+coordinate s, the model's one sampler :meth:`StaticModel.sample` (g, h, their
+first two derivatives and the density factor g^{m-1} on an abscissa array),
+frame curvature components, and the Ricci tensor of the model assembled from
+base data.  Every other module reads the profile and warp through the
+sampler; the curvature functions take a scalar or an array of abscissae
+along one code path.
 
 Curvature sign convention: R(V,W)Z = nab_V nab_W Z - nab_W nab_V Z -
 nab_{[V,W]}Z with Riem(X1,X2,X3,X4) = <R(X3,X4)X2, X1>, so that the sectional
@@ -19,6 +23,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +34,7 @@ __all__ = [
     "RadialBase",
     "Warp",
     "StaticModel",
+    "ModelSample",
     "CurvatureSample",
     "euclidean_profile",
     "hyperbolic_profile",
@@ -162,7 +168,7 @@ class RadialProfile:
         return self.kind in ("euclidean", "hyperbolic")
 
     def evaluate(self, s):
-        """Return (g, g', g'') at s (scalar or array)."""
+        """Return (g, g', g'') at s as numpy values shaped like s."""
         s_arr = np.asarray(s, dtype=float)
         if self.kind == "euclidean":
             g = s_arr.copy()
@@ -185,8 +191,6 @@ class RadialProfile:
             gpp = self.spline(s_arr, 2)
         else:  # pragma: no cover
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if np.isscalar(s) or np.asarray(s).ndim == 0:
-            return float(g), float(gp), float(gpp)
         return g, gp, gpp
 
 
@@ -279,13 +283,10 @@ class Warp:
     d2h: object
 
     def evaluate(self, s):
+        """Return (h, h', h'') at s as float arrays."""
         s_arr = np.asarray(s, dtype=float)
-        h = np.asarray(self.h(s_arr), dtype=float)
-        dh = np.asarray(self.dh(s_arr), dtype=float)
-        d2h = np.asarray(self.d2h(s_arr), dtype=float)
-        if np.isscalar(s) or np.asarray(s).ndim == 0:
-            return float(h), float(dh), float(d2h)
-        return h, dh, d2h
+        return (np.asarray(self.h(s_arr), dtype=float), np.asarray(self.dh(s_arr), dtype=float),
+                np.asarray(self.d2h(s_arr), dtype=float))
 
 
 def constant_warp(c: float = 1.0) -> Warp:
@@ -326,6 +327,22 @@ def custom_warp(h, dh, d2h) -> Warp:
     return Warp("custom", h, dh, d2h)
 
 
+class ModelSample(NamedTuple):
+    """Profile and warp of a model on an abscissa array, with w = g^{m-1}.
+
+    w is the density factor of the model's two integrals: the weighted volume
+    density h w and the flux w h^2 tau' / sqrt(1 - h^2 tau'^2).
+    """
+
+    g: np.ndarray
+    gp: np.ndarray
+    gpp: np.ndarray
+    h: np.ndarray
+    dh: np.ndarray
+    d2h: np.ndarray
+    w: np.ndarray
+
+
 @dataclass(frozen=True)
 class StaticModel:
     """A radial base paired with a static warp: the model of sigma - h^2 dt^2."""
@@ -336,6 +353,17 @@ class StaticModel:
     @property
     def m(self) -> int:
         return self.base.m
+
+    def sample(self, s) -> ModelSample:
+        """g, h, their first two derivatives and w = g^{m-1} at s (scalar or array).
+
+        One profile and one warp evaluation; values are shaped like s.  The
+        domain is not checked here: callers that take radii from users do.
+        """
+        s_arr = np.asarray(s, dtype=float)
+        g, gp, gpp = self.base.profile.evaluate(s_arr)
+        h, dh, d2h = self.warp.evaluate(s_arr)
+        return ModelSample(g, gp, gpp, h, dh, d2h, g ** (self.m - 1))
 
     @property
     def lorentzian_product(self) -> bool:
@@ -353,11 +381,13 @@ class StaticModel:
 
 @dataclass(frozen=True)
 class CurvatureSample:
-    """Frame curvature data of a model at one abscissa.
+    """Frame curvature data of a model at s (a scalar or an array).
 
     K_rad / K_tan are the sectional curvatures of planes containing /
     orthogonal to the radial direction; ric_rr / ric_tt the base Ricci frame
-    components; hessh_* and laph the frame Hessian and Laplacian of h.
+    components; hessh_* and laph the frame Hessian and Laplacian of the warp
+    h.  Fields are shaped like s, except the scalar defaults, which describe
+    the unit warp h = 1 of a bare base.
     """
 
     s: float
@@ -368,6 +398,7 @@ class CurvatureSample:
     hessh_rr: float = 0.0
     hessh_tt: float = 0.0
     laph: float = 0.0
+    h: float = 1.0
 
     def scalar_consistency(self, m: int) -> float:
         """Residual of ric trace vs the sectional-curvature combination."""
@@ -376,43 +407,31 @@ class CurvatureSample:
         return abs(from_ric - from_sec)
 
 
-def base_curvature(base: RadialBase, s) -> CurvatureSample:
-    """Sectional and Ricci frame components of the base at s.
+def _frame_curvature(s, m: int, g, gp, gpp, **warp_data) -> CurvatureSample:
+    """Curvature sample from profile values (plus any warp data) at s.
 
     K_rad = -g''/g, K_tan = (1 - g'^2)/g^2, ric_rr = -(m-1) g''/g,
     ric_tt = -g''/g + (m-2)(1 - g'^2)/g^2.
     """
-    base.check_domain(s)
-    g, gp, gpp = base.profile.evaluate(s)
-    m = base.m
     k_rad = -gpp / g
     k_tan = (1.0 - gp * gp) / (g * g)
-    return CurvatureSample(
-        s=float(s),
-        K_rad=k_rad,
-        K_tan=k_tan,
-        ric_rr=(m - 1) * k_rad,
-        ric_tt=k_rad + (m - 2) * k_tan,
-    )
+    return CurvatureSample(s=np.asarray(s, dtype=float), K_rad=k_rad, K_tan=k_tan,
+                           ric_rr=(m - 1) * k_rad, ric_tt=k_rad + (m - 2) * k_tan, **warp_data)
+
+
+def base_curvature(base: RadialBase, s) -> CurvatureSample:
+    """Sectional and Ricci frame components of the base at s."""
+    base.check_domain(s)
+    return _frame_curvature(s, base.m, *base.profile.evaluate(s))
 
 
 def curvature_sample(model: StaticModel, s) -> CurvatureSample:
-    """Full curvature sample of the model: base curvature plus warp data."""
-    cs = base_curvature(model.base, s)
-    g, gp, _ = model.base.profile.evaluate(s)
-    h, dh, d2h = model.warp.evaluate(s)
-    hessh_rr = d2h
-    hessh_tt = (gp / g) * dh
-    return CurvatureSample(
-        s=cs.s,
-        K_rad=cs.K_rad,
-        K_tan=cs.K_tan,
-        ric_rr=cs.ric_rr,
-        ric_tt=cs.ric_tt,
-        hessh_rr=hessh_rr,
-        hessh_tt=hessh_tt,
-        laph=hessh_rr + (model.m - 1) * hessh_tt,
-    )
+    """Full curvature sample of the model, from one model sample at s."""
+    model.base.check_domain(s)
+    smp = model.sample(s)
+    hessh_tt = (smp.gp / smp.g) * smp.dh
+    return _frame_curvature(s, model.m, smp.g, smp.gp, smp.gpp, hessh_rr=smp.d2h, hessh_tt=hessh_tt,
+                            laph=smp.d2h + (model.m - 1) * hessh_tt, h=smp.h)
 
 
 @dataclass(frozen=True)
@@ -437,12 +456,11 @@ class SpacetimeRicci:
 def spacetime_ricci(model: StaticModel, s) -> SpacetimeRicci:
     """Ricci of the static model at s: Ric - Hess(h)/h horizontally, h lap h dt^2."""
     cs = curvature_sample(model, s)
-    h, _, _ = model.warp.evaluate(s)
     return SpacetimeRicci(
-        hor_rad=cs.ric_rr - cs.hessh_rr / h,
-        hor_tan=cs.ric_tt - cs.hessh_tt / h,
-        vert=h * cs.laph,
-        h=h,
+        hor_rad=cs.ric_rr - cs.hessh_rr / cs.h,
+        hor_tan=cs.ric_tt - cs.hessh_tt / cs.h,
+        vert=cs.h * cs.laph,
+        h=cs.h,
     )
 
 

@@ -112,11 +112,10 @@ class RadialGraph:
             object.__setattr__(self, name, arr)
             if arr.shape != self.grid.nodes.shape:
                 raise ValueError(f"{name} must be sampled on the grid")
-        h, _, _ = self.model.warp.evaluate(self.grid.nodes)
+        smp = self.model.sample(self.grid.nodes)
+        h, w = smp.h, smp.w
         if np.any(np.abs(h * self.slope) >= 1.0):
             raise ValueError("graph is not spacelike: h |tau'| >= 1 at a node")
-        g, _, _ = self.model.base.profile.evaluate(self.grid.nodes)
-        w = g ** (self.model.m - 1)
         safe = w > 1e-8
         rec = w[safe] * h[safe] ** 2 * self.slope[safe] / np.sqrt(
             1.0 - (h[safe] * self.slope[safe]) ** 2
@@ -150,6 +149,16 @@ def _anchor_index(grid: Grid, anchor: Anchor) -> int:
     return i
 
 
+def _flux_density(model: StaticModel, H):
+    """s -> H(s) h(s) g(s)^{m-1}: the flux law's F'/m for a vectorised mean curvature H."""
+
+    def density(s):
+        smp = model.sample(s)
+        return H(s) * smp.h * smp.w
+
+    return density
+
+
 def flux_from_H(model: StaticModel, spec: MeanCurvSpec, anchor: Anchor, grid: Grid) -> np.ndarray:
     """Flux profile F(s) = F0 + m int_{s0}^{s} H h g^{m-1} on the grid nodes."""
     if anchor.kind == "pole" and not model.base.pole_anchored:
@@ -158,13 +167,8 @@ def flux_from_H(model: StaticModel, spec: MeanCurvSpec, anchor: Anchor, grid: Gr
     if spec.is_zero:
         return np.full(len(grid), anchor.F0)
 
-    def integrand(s):
-        g, _, _ = model.base.profile.evaluate(s)
-        h, _, _ = model.warp.evaluate(s)
-        return spec.value(s) * h * g ** (model.m - 1)
-
     with np.errstate(all="ignore"):  # non-finite loads are reported, not warned
-        cum = cumulative_quad(integrand, grid.nodes, tol=1e-14)
+        cum = cumulative_quad(_flux_density(model, spec.value), grid.nodes, tol=1e-14)
     flux = anchor.F0 + model.m * (cum - cum[idx])
     if not np.all(np.isfinite(flux)):
         bad = int(np.flatnonzero(~np.isfinite(flux))[0])
@@ -178,21 +182,12 @@ def slope_from_flux(model: StaticModel, F, s):
     With W = F/g^{m-1}: h tau' = W/sqrt(h^2+W^2) < 1 automatically, which is
     the structural fact that lets the flux be the primary state.
     """
-    F_arr = np.asarray(F, dtype=float)
-    s_arr = np.asarray(s, dtype=float)
-    g, _, _ = model.base.profile.evaluate(s_arr)
-    h, _, _ = model.warp.evaluate(s_arr)
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
-    w_denom = np.asarray(g ** (model.m - 1), dtype=float)
+    smp = model.sample(s)
+    h, w = smp.h, smp.w
     with np.errstate(divide="ignore", invalid="ignore"):
-        W = np.where(w_denom > 0, F_arr / np.where(w_denom > 0, w_denom, 1.0), 0.0)
+        W = np.where(w > 0, np.asarray(F, dtype=float) / np.where(w > 0, w, 1.0), 0.0)
     root = np.sqrt(h * h + W * W)
-    slope = W / (h * root)
-    cosh_theta = root / h
-    if np.isscalar(s) or s_arr.ndim == 0:
-        return float(slope), float(cosh_theta)
-    return slope, cosh_theta
+    return W / (h * root), root / h
 
 
 def solve_radial_graph(model: StaticModel, spec: MeanCurvSpec, anchor: Anchor, grid: Grid) -> RadialGraph:
@@ -225,9 +220,8 @@ def gauge_consistency_check(graph: RadialGraph, tol: float = 1e-6) -> EstimateRe
         raise ValueError("gauge check needs at least three interior nodes")
     ds = float(s[1] - s[0])
     model = graph.model
-    g, _, _ = model.base.profile.evaluate(s)
-    h, dh, _ = model.warp.evaluate(s)
-    w = g ** (model.m - 1)
+    smp = model.sample(s)
+    h, dh, w = smp.h, smp.dh, smp.w
 
     # interior window, away from a possible pole node
     lo = 2 if s[0] > 0 else max(2, int(np.ceil(1e-6 / ds)) + 1)

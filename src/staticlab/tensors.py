@@ -121,7 +121,7 @@ def static_riemann(model: StaticModel, s) -> Curv4Tensor:
     m = model.m
     n = m + 1
     cs = curvature_sample(model, s)
-    h, _, _ = model.warp.evaluate(s)
+    h = cs.h
 
     riem = np.zeros((n, n, n, n))
     for i in range(m):

@@ -16,8 +16,6 @@ from staticlab.elliptic import (
 )
 from staticlab.numerics import Grid, quad
 
-W_ONE = lambda s: np.ones_like(np.asarray(s, dtype=float))
-
 
 @pytest.fixture(scope="module")
 def catenoid_op(euclid_annulus):
@@ -63,7 +61,7 @@ class TestResidual:
     def test_linear_flat_weight_exact(self):
         # constant flux telescopes: no discretization error, only last-ulp noise
         grid = Grid.uniform(0.0, 1.0, 101)
-        op = MeshOperator.from_functions(grid, W_ONE, W_ONE)
+        op = MeshOperator(grid, w_nodes=np.ones(101), w_faces=np.ones(100), q_faces=np.ones(100))
         u = 0.3 * grid.nodes + 0.1
         r = residual(op, u, np.zeros(101))
         assert np.max(np.abs(r)) <= 1e-12

@@ -25,9 +25,11 @@ from staticlab.estimates import (
     weighted_volumes,
 )
 from staticlab.geometry import (
+    DomainError,
     RadialBase,
     StaticModel,
     constant_warp,
+    custom_profile,
     custom_warp,
     euclidean_profile,
     hyperbolic_profile,
@@ -36,6 +38,11 @@ from staticlab.graphs import Anchor, MeanCurvSpec, constant_H, solve_radial_grap
 from staticlab.numerics import Grid
 
 ONES = np.ones_like
+
+
+def _plane_model(profile, s_max):
+    """A 2-d pole-anchored model with unit warp on [0, s_max]."""
+    return StaticModel(RadialBase(2, profile, (0.0, s_max)), constant_warp(1.0))
 
 
 def test_sphere_area():
@@ -66,6 +73,18 @@ class TestWeightedVolumes:
         del model
         gc.collect()
         assert not any(r() is not None for r in refs)
+
+    def test_volume_cache_freed_without_cyclic_gc(self):
+        # the cache on the model holds no cycle back to it: reference counting frees both
+        gc.disable()
+        try:
+            model = _plane_model(hyperbolic_profile(1.0), 2.0)
+            weighted_volumes(model, [0.5, 1.5])
+            ref = weakref.ref(model)
+            del model
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_decaying_warp_oracle(self):
         base = RadialBase(2, euclidean_profile(), (0.0, 10.0))
@@ -238,8 +257,8 @@ class TestLambda1:
         for value in (lam10, lam15, lam):
             assert value >= 0.25 * prof.c_hat**2 - 0.03
 
-    def test_euclid_goes_to_zero(self, euclid_model):
-        assert lambda1_estimate(euclid_model, 40.0, 2000) <= 0.01
+    def test_euclid_goes_to_zero(self):
+        assert lambda1_estimate(_plane_model(euclidean_profile(), 40.0), 40.0, 2000) <= 0.01
 
     def test_flat_interval_sine_oracle(self):
         lam = dirichlet_lambda1(lambda s: np.ones_like(np.asarray(s, dtype=float)),
@@ -308,9 +327,37 @@ class TestCoshLower:
         assert float(rep.notes[0].split()[-1]) > 0  # integrated-form margin strictly positive
 
 
+class TestDomain:
+    """Radii outside the model's radial domain raise instead of extrapolating."""
+
+    @pytest.mark.parametrize("query", [
+        lambda m: weighted_volumes(m, [1.0, 5.0]),
+        lambda m: weighted_volume_annulus(m, 0.5, 5.0),
+        lambda m: mean_H_average(m, constant_H(1.0), np.array([1.0, 2.5])),
+        lambda m: log_volume_identity_check(m, 1.0, 3.0),
+        lambda m: cheeger_profile(m, 5.0),
+        lambda m: lambda1_estimate(m, 5.0, 400),
+        lambda m: growth_diagnostics(m, 5.0),
+    ], ids=["weighted_volumes", "weighted_volume_annulus", "mean_H_average", "log_volume_identity_check",
+            "cheeger_profile", "lambda1_estimate", "growth_diagnostics"])
+    def test_past_the_domain_raises(self, query):
+        model = _plane_model(hyperbolic_profile(1.0), 2.0)
+        with pytest.raises(DomainError):
+            query(model)
+        t = weighted_volumes(model, [1.0, 2.0])  # the domain's end is still served
+        assert t.vol[1] == pytest.approx(2 * math.pi * (math.cosh(2.0) - 1.0), rel=1e-12)
+
+    def test_custom_spline_annulus(self):
+        # a sinh spline on (0.1, 3) extrapolated to 9 gave 7042, not 2 pi (cosh 9 - cosh 0.5) = 25450
+        s = np.linspace(0.1, 3.0, 60)
+        model = StaticModel(RadialBase(2, custom_profile(s, np.sinh(s)), (0.1, 3.0)), constant_warp(1.0))
+        with pytest.raises(DomainError):
+            weighted_volume_annulus(model, 0.5, 9.0)
+
+
 class TestGrowth:
-    def test_hyperbolic(self, hyperbolic_model):
-        gd = growth_diagnostics(hyperbolic_model, 100.0)
+    def test_hyperbolic(self):
+        gd = growth_diagnostics(_plane_model(hyperbolic_profile(1.0), 100.0), 100.0)
         value, trend = gd.volume_G
         assert value == pytest.approx(1.0, abs=0.02)
         assert trend == "converging"
@@ -318,13 +365,13 @@ class TestGrowth:
         assert gd.notl1[1] == "converging"
         assert gd.hnotl1[1] == "converging"
 
-    def test_hyperbolic_notl1_closed_form(self, hyperbolic_model):
+    def test_hyperbolic_notl1_closed_form(self):
         # int_{0.1}^{100} ds / (2 pi sinh s) = ln(tanh 50 / tanh 0.05) / (2 pi)
-        gd = growth_diagnostics(hyperbolic_model, 100.0)
+        gd = growth_diagnostics(_plane_model(hyperbolic_profile(1.0), 100.0), 100.0)
         assert abs(gd.notl1[0] - 0.476918151322639903) <= 1e-14
 
-    def test_euclid(self, euclid_model):
-        gd = growth_diagnostics(euclid_model, 100.0)
+    def test_euclid(self):
+        gd = growth_diagnostics(_plane_model(euclidean_profile(), 100.0), 100.0)
         assert gd.notl1[1] == "diverging"
         assert gd.hnotl1[1] == "diverging"
         assert gd.linfi[1] == "converging"

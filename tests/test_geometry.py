@@ -301,3 +301,53 @@ class TestBakryEmery:
 def test_lorentzian_product_flag(hyperbolic_model, schwarzschild_model):
     assert hyperbolic_model.lorentzian_product
     assert not schwarzschild_model.lorentzian_product
+
+
+CONFTEST_MODELS = ("hyperbolic_model", "euclid_model", "euclid_annulus", "schwarzschild_model")
+
+
+def _bits(x, shape=None):
+    x = np.asarray(x, dtype=float)
+    return (x if shape is None else np.broadcast_to(x, shape)).tobytes()
+
+
+def _fields(result):
+    """Name -> value of a curvature result (a dataclass or a tuple)."""
+    if isinstance(result, tuple):
+        return dict(enumerate(result))
+    return {name: getattr(result, name) for name in result.__dataclass_fields__}
+
+
+@pytest.mark.parametrize("name", CONFTEST_MODELS)
+class TestOneSampler:
+    """The sampler and the curvature chain: one code path, bitwise the same values."""
+
+    @staticmethod
+    def abscissae(model):
+        lo, hi = model.base.s_domain
+        return lo + (hi - lo) * np.array([0.013, 0.1, 0.27, 0.5, 0.61, 0.9, 1.0])
+
+    def test_sample_is_profile_and_warp(self, name, request):
+        model = request.getfixturevalue(name)
+        s = self.abscissae(model)
+        g, gp, gpp = model.base.profile.evaluate(s)
+        h, dh, d2h = model.warp.evaluate(s)
+        smp = model.sample(s)
+        for got, want in zip(smp, (g, gp, gpp, h, dh, d2h, g ** (model.m - 1))):
+            assert _bits(got) == _bits(want)
+
+    def test_array_call_is_stacked_scalar_calls(self, name, request):
+        model = request.getfixturevalue(name)
+        s = self.abscissae(model)
+        calls = {
+            "base_curvature": lambda x: base_curvature(model.base, x),
+            "curvature_sample": lambda x: curvature_sample(model, x),
+            "spacetime_ricci": lambda x: spacetime_ricci(model, x),
+            "modified_bakry_emery": lambda x: modified_bakry_emery(model, x),
+        }
+        for fn_name, fn in calls.items():
+            batch = _fields(fn(s))
+            scalars = [_fields(fn(float(x))) for x in s]
+            for key, value in batch.items():
+                stacked = np.array([np.asarray(one[key], dtype=float) for one in scalars])
+                assert _bits(value, s.shape) == _bits(stacked), f"{fn_name}.{key} on {name}"

@@ -1,4 +1,5 @@
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -15,3 +16,16 @@ def test_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_only_geometry_evaluates_profiles_and_warps():
+    # one sampler: outside geometry.py the model is read through StaticModel.sample
+    pkg = pathlib.Path(staticlab.__file__).parent
+    calls = [
+        f"{path.name}:{number}"
+        for path in sorted(pkg.glob("*.py"))
+        if path.name != "geometry.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if ".evaluate(" in line
+    ]
+    assert calls == []
