@@ -14,7 +14,9 @@ h = sqrt(V)) the slope carries an extra shift beta_1,
     u0' = f / (h sqrt(h^2 + f^2)),
 
 and beta_1 <= 0 is chosen (smallest magnitude, ties toward zero) so the
-height at the control sphere stays below beta.  Both slopes satisfy the
+height at the control sphere stays below beta: a doubling search brackets
+it and :func:`~staticlab.numerics.brentq` (Brent's method, ported from scipy
+with the same steps) solves for it.  Both slopes satisfy the
 defining linear ODE (w f)' = C A w exactly, hence the flux-divergence
 inequality div <= A with slack C <= 1.
 """
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import RadialBase, StaticModel, schwarzschild_profile, schwarzschild_s_of_rho, schwarzschild_warp
-from .numerics import Grid, SampledFunction, cumulative_order3, cumulative_quad, fd_derivative
+from .numerics import Grid, SampledFunction, brentq, cumulative_order3, cumulative_quad, fd_derivative
 from .reporting import EstimateReport, make_report, write_table
 
 __all__ = [
@@ -217,8 +219,6 @@ def build_barrier_schwarzschild(mu, m, rho1, rho2, beta, H0, rho_max=40.0, n=400
                     "-int dt/h no matter how negative beta_1 is; beta is below that floor "
                     "with C at its ceiling"
                 )
-        from scipy.optimize import brentq  # deferred: keeps scipy out of import time
-
         beta1 = brentq(lambda b1: height_at_control(b1) - beta, lo, 0.0, xtol=1e-12)
         beta1 = min(beta1, 0.0)
 

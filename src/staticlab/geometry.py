@@ -73,6 +73,8 @@ def _chart_integrand(mu: float, m: int, rho_s: float):
         # V(rho_s + x) = -expm1((2-m) log1p(x/rho_s)): stable at the horizon
         w = np.asarray(w, dtype=float)
         tiny = w < 1e-120
+        if not tiny.any():  # the usual call: no horizon entry, so no np.where pass
+            return 2.0 * w / np.sqrt(-np.expm1((2 - m) * np.log1p(w * w / rho_s)))
         wsafe = np.where(tiny, 1.0, w)
         v = -np.expm1((2 - m) * np.log1p(wsafe * wsafe / rho_s))
         return np.where(tiny, 2.0 / np.sqrt(vp0), 2.0 * wsafe / np.sqrt(v))
@@ -88,9 +90,11 @@ class _SchwarzschildChart:
     :class:`~staticlab.numerics.Antiderivative` in w is ``table``: s(rho) is
     its forward map and rho(s) = rho_S + w^2 with w from its inverse.  The
     integrand closes over (mu, m, rho_S), not over the chart, so a chart
-    holds no reference cycle.  The last inverse is memoised, keyed by the
-    input values and the table size, so that profile and warp evaluation of
-    one sample array share it and a grown table invalidates it.
+    holds no reference cycle.  The last inverse is memoised with the metric
+    factors sqrt(V) and V'/2 of its rho, keyed by the input values and the
+    table size, so that profile and warp evaluation of one sample array
+    solve for rho and form each factor once, and a grown table invalidates
+    the memo.
     """
 
     def __init__(self, mu: float, m: int):
@@ -98,12 +102,13 @@ class _SchwarzschildChart:
             raise ValueError("Schwarzschild mass mu must be positive")
         if m < 3:
             raise ValueError("Schwarzschild base needs dimension m >= 3")
+        self.mu, self.m = mu, m
         self.rho_s = (2.0 * mu) ** (1.0 / (m - 2))
         w_max = float(np.sqrt(64.0 + self.rho_s))
         self.table = Antiderivative(
             _chart_integrand(mu, m, self.rho_s), 0.0, w_max, n=max(4096, int(256 * w_max)), tol=1e-14
         )
-        self._last_inverse = None  # (table size, s, rho) of the most recent rho_of_s solve
+        self._memo = None  # (table size, s, (rho, sqrt V, V'/2)) of the most recent solve
 
     def s_of_rho(self, rho):
         rho_arr = np.asarray(rho, dtype=float)
@@ -111,18 +116,25 @@ class _SchwarzschildChart:
             raise DomainError(f"rho <= rho_S = {self.rho_s!r}: inside horizon")
         return self.table(np.sqrt(rho_arr - self.rho_s))
 
-    def rho_of_s(self, s):
+    def factors(self, s) -> tuple:
+        """rho, sqrt V(rho) and V'(rho)/2 = mu (m-2) rho^{1-m} at s.
+
+        The arrays are the memo's own: callers must copy what they hand out.
+        """
         s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr <= 0):
-            raise DomainError("rho_of_s needs s > 0 (s = 0 is the horizon)")
-        last = self._last_inverse
-        if last is not None and last[0] == self.table.nodes.size and np.array_equal(last[1], s_arr):
-            rho = last[2].copy()
-        else:
+        memo = self._memo
+        if memo is None or memo[0] != self.table.nodes.size or not np.array_equal(memo[1], s_arr):
+            if np.any(s_arr <= 0):
+                raise DomainError("rho_of_s needs s > 0 (s = 0 is the horizon)")
             w = np.maximum(self.table.inverse(s_arr), 1e-15)
-            rho = self.rho_s + w * w
-            self._last_inverse = (self.table.nodes.size, s_arr.copy(), rho.copy())
-        return float(rho) if np.isscalar(s) or s_arr.ndim == 0 else rho
+            rho = np.asarray(self.rho_s + w * w)
+            found = (rho, np.sqrt(_schw_V(self.mu, self.m, rho)), self.mu * (self.m - 2) * rho ** (1 - self.m))
+            memo = self._memo = (self.table.nodes.size, s_arr.copy(), found)
+        return memo[2]
+
+    def rho_of_s(self, s):
+        rho = self.factors(s)[0].copy()
+        return float(rho) if np.isscalar(s) or rho.ndim == 0 else rho
 
 
 @lru_cache(maxsize=32)
@@ -180,11 +192,7 @@ class RadialProfile:
             gp = np.cosh(rb * s_arr)
             gpp = rb * np.sinh(rb * s_arr)
         elif self.kind == "schwarzschild":
-            rho = _chart(self.mu, self.m).rho_of_s(s_arr)
-            rho = np.asarray(rho, dtype=float)
-            g = rho
-            gp = np.sqrt(_schw_V(self.mu, self.m, rho))
-            gpp = self.mu * (self.m - 2) * rho ** (1 - self.m)
+            g, gp, gpp = (f.copy() for f in _chart(self.mu, self.m).factors(s_arr))
         elif self.kind == "custom":
             g = self.spline(s_arr)
             gp = self.spline(s_arr, 1)
@@ -303,22 +311,21 @@ def constant_warp(c: float = 1.0) -> Warp:
 def schwarzschild_warp(mu: float, m: int) -> Warp:
     """h = sqrt(V(rho(s))) on the exterior; h' = V'/2, h'' = (V''/2) sqrt(V).
 
-    The three callables share the chart's memoised inverse, so evaluating
-    them (and the profile) on one sample array solves for rho once.
+    The three callables share the chart's memoised inverse and factors, so
+    evaluating them (and the profile) on one sample array solves for rho and
+    forms sqrt(V) and V'/2 once.
     """
     chart = _chart(mu, m)
 
     def h(s):
-        rho = np.asarray(chart.rho_of_s(s), dtype=float)
-        return np.sqrt(_schw_V(mu, m, rho))
+        return chart.factors(s)[1].copy()
 
     def dh(s):
-        rho = np.asarray(chart.rho_of_s(s), dtype=float)
-        return mu * (m - 2) * rho ** (1 - m)
+        return chart.factors(s)[2].copy()
 
     def d2h(s):
-        rho = np.asarray(chart.rho_of_s(s), dtype=float)
-        return -mu * (m - 2) * (m - 1) * rho ** (-m) * np.sqrt(_schw_V(mu, m, rho))
+        rho, sqrt_v, _ = chart.factors(s)
+        return -mu * (m - 2) * (m - 1) * rho ** (-m) * sqrt_v
 
     return Warp("schwarzschild", h, dh, d2h)
 

@@ -195,8 +195,10 @@ def solve_radial_graph(model: StaticModel, spec: MeanCurvSpec, anchor: Anchor, g
 
     The height is the third-order cumulative integral of the sampled slope,
     so mesh refinement studies see the quadrature order; the flux itself is
-    computed to near machine accuracy.
+    computed to near machine accuracy.  A grid reaching past the model's
+    radial domain raises :class:`~staticlab.geometry.DomainError`.
     """
+    model.base.check_domain((grid.a, grid.b))
     flux = flux_from_H(model, spec, anchor, grid)
     slope, cosh_theta = slope_from_flux(model, flux, grid.nodes)
     tau = cumulative_order3(slope, grid.nodes)

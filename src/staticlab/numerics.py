@@ -4,12 +4,15 @@ Everything here is double precision, tolerance-explicit and free of hidden
 state.  Quadrature is one batched adaptive Simpson refiner: ``quad`` hands
 it a single panel, ``cumulative_quad`` every interval that fails its
 two-panel check, and each refinement level calls the integrand once on an
-array.  Tridiagonal systems of the radial finite-difference machinery go to
-LAPACK.
+array.  ``brentq`` is Brent's bracketed root finder, ported from scipy so
+that a root solve loads none of scipy's optimisation modules.  Tridiagonal
+systems of the radial finite-difference machinery go to LAPACK, the one
+place this module imports scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +20,8 @@ import numpy as np
 DEFAULT_QUAD_TOL = 1e-10
 _MAX_QUAD_DEPTH = 48
 _MAX_BATCH_PANELS = 4096
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+_BRENT_MAXITER = 100
 
 
 class QuadratureError(RuntimeError):
@@ -279,9 +284,8 @@ class Antiderivative:
     def _grow(self):
         self._build(self.a + 2.0 * (self.nodes[-1] - self.a))
 
-    def _forward(self, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
-        """I(x) for x inside the table, given fx = f(x)."""
-        idx = np.clip(np.searchsorted(self.nodes, x, side="right") - 1, 0, self.nodes.size - 2)
+    def _forward(self, x: np.ndarray, fx: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """I(x) for x inside the table, given fx = f(x) and the interval index of x."""
         lo = self.nodes[idx]
         h = x - lo
         f1 = self.fn(lo + 0.25 * h)
@@ -298,7 +302,8 @@ class Antiderivative:
         if np.any(x_arr < self.a - 1e-12):
             raise ValueError("Antiderivative queried below its base point")
         xc = np.clip(x_arr, self.a, self.nodes[-1])
-        out = self._forward(xc, self.fn(xc))
+        idx = np.clip(np.searchsorted(self.nodes, xc, side="right") - 1, 0, self.nodes.size - 2)
+        out = self._forward(xc, self.fn(xc), idx)
         return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
     def inverse(self, y):
@@ -308,7 +313,10 @@ class Antiderivative:
         with slopes 1/f at the nodes, clipped into its interval, and takes one
         Newton step on the forward map; f(x) serves both the Simpson
         correction and the derivative, so each point costs four calls' worth
-        of ``f``.  The table grows until it covers max(y).
+        of ``f``.  The start lies in its interval [x0, x1], so the forward map
+        reads that interval, or the next one where x == x1 (as a search of the
+        nodes would), without searching again.  The table grows until it
+        covers max(y).
         """
         y_arr = np.asarray(y, dtype=float)
         top = float(np.max(y_arr))
@@ -325,8 +333,61 @@ class Antiderivative:
         x = x0 + t * (d0 + t * ((3.0 * dx - 2.0 * d0 - d1) + t * (d0 + d1 - 2.0 * dx)))
         x = np.clip(x, x0, x1)
         fx = self.fn(x)
-        out = x - (self._forward(x, fx) - y_arr) / fx
+        idx = np.minimum(idx + (x >= x1), self.nodes.size - 2)
+        out = x - (self._forward(x, fx, idx) - y_arr) / fx
         return float(out) if np.isscalar(y) or y_arr.ndim == 0 else out
+
+
+def brentq(f, a: float, b: float, xtol: float) -> float:
+    """Root of ``f`` in the bracket [a, b] by Brent's method.
+
+    A port of scipy's ``brentq.c`` (Brent, *Algorithms for Minimization
+    without Derivatives*, 1973, ch. 4) with its step rules in their order, on
+    Python floats, so it returns the same root after the same calls to ``f``.
+    Each step keeps a bracket [xcur, xblk] with xcur the better end, tries a
+    secant or inverse quadratic step, takes it if it is short enough and
+    bisects otherwise, and moves at least delta = (xtol + 4 eps |xcur|)/2.
+    Returns once the half-bracket is below delta.  Raises ``ValueError`` if
+    f(a) and f(b) have the same sign, ``RuntimeError`` after 100 steps
+    (scipy's defaults for the relative tolerance and the step cap).
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("brentq: f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"brentq: no convergence after {_BRENT_MAXITER} iterations, value is {xcur!r}")
 
 
 def tridiag_solve(lower, diag, upper, rhs) -> np.ndarray:

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from staticlab.geometry import (
+    DomainError,
     RadialBase,
     StaticModel,
     constant_warp,
+    custom_profile,
     euclidean_profile,
     hyperbolic_profile,
     schwarzschild_s_of_rho,
@@ -165,6 +167,17 @@ class TestSolve:
         grid = Grid.uniform(1.0, 2.0, 101)
         with pytest.raises(ValueError, match="node"):
             solve_radial_graph(euclid_annulus, zero_H(), Anchor.point(1.3333333, 0.0, 1.0), grid)
+
+    def test_grid_past_the_domain_raises(self):
+        # a sinh spline on (0.1, 3) extrapolated to s = 9 gave flux 1120.8, not 2 H (cosh 9 - cosh 0.5) = 4050.4,
+        # and the flux identity still passed, since both of its sides read the same extrapolated profile
+        s = np.linspace(0.1, 3.0, 60)
+        model = StaticModel(RadialBase(2, custom_profile(s, np.sinh(s)), (0.1, 3.0)), constant_warp(1.0))
+        for grid in (Grid.uniform(0.5, 9.0, 851), Grid.uniform(0.05, 3.0, 851)):
+            with pytest.raises(DomainError):
+                solve_radial_graph(model, constant_H(0.5), Anchor.point(grid.a, 0.0, 0.0), grid)
+        g = solve_radial_graph(model, constant_H(0.5), Anchor.point(0.5, 0.0, 0.0), Grid.uniform(0.5, 3.0, 851))
+        assert g.flux[-1] == pytest.approx(math.cosh(3.0) - math.cosh(0.5), rel=1e-5)
 
 
 class TestOracleCatenoid:

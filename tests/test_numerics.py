@@ -7,13 +7,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from staticlab import numerics
-from staticlab.geometry import _SchwarzschildChart
+from staticlab import barriers, numerics
+from staticlab.geometry import (
+    RadialBase,
+    StaticModel,
+    _SchwarzschildChart,
+    schwarzschild_profile,
+    schwarzschild_warp,
+)
 from staticlab.numerics import (
     Antiderivative,
     Grid,
     QuadratureError,
     SampledFunction,
+    brentq,
     cumulative_order3,
     cumulative_quad,
     fd_derivative,
@@ -220,6 +227,182 @@ class TestQuad:
             assert ref() is None
         finally:
             gc.enable()
+
+
+def _old_chart_integrand(mu, m, rho_s):
+    """The chart integrand as first written: both np.where passes on every call."""
+    vp0 = 2.0 * mu * (m - 2) * rho_s ** (1 - m)
+
+    def integrand(w):
+        w = np.asarray(w, dtype=float)
+        tiny = w < 1e-120
+        wsafe = np.where(tiny, 1.0, w)
+        v = -np.expm1((2 - m) * np.log1p(wsafe * wsafe / rho_s))
+        return np.where(tiny, 2.0 / np.sqrt(vp0), 2.0 * wsafe / np.sqrt(v))
+
+    return integrand
+
+
+def _old_forward(table, fn, x, fx):
+    """Antiderivative's forward map as first written: it searches the nodes for x."""
+    idx = np.clip(np.searchsorted(table.nodes, x, side="right") - 1, 0, table.nodes.size - 2)
+    lo = table.nodes[idx]
+    h = x - lo
+    f1 = fn(lo + 0.25 * h)
+    f2 = fn(lo + 0.5 * h)
+    f3 = fn(lo + 0.75 * h)
+    inc = h * (table.f_nodes[idx] + 4.0 * f1 + 2.0 * f2 + 4.0 * f3 + fx) / 12.0
+    return table.values[idx] + inc
+
+
+def _old_inverse(table, fn, y):
+    """Antiderivative.inverse as first written, with the Newton start x and its interval's end x1."""
+    idx = np.clip(np.searchsorted(table.values, y, side="right") - 1, 0, table.nodes.size - 2)
+    x0, x1 = table.nodes[idx], table.nodes[idx + 1]
+    y0 = table.values[idx]
+    dy = table.values[idx + 1] - y0
+    d0 = dy / table.f_nodes[idx]
+    d1 = dy / table.f_nodes[idx + 1]
+    dx = x1 - x0
+    t = (y - y0) / dy
+    x = x0 + t * (d0 + t * ((3.0 * dx - 2.0 * d0 - d1) + t * (d0 + d1 - 2.0 * dx)))
+    x = np.clip(x, x0, x1)
+    fx = fn(x)
+    return x - (_old_forward(table, fn, x, fx) - y) / fx, x, x1
+
+
+class TestChartInverseParity:
+    """The chart's table, forward map and inverse are bitwise those of the first implementation."""
+
+    @pytest.mark.parametrize("mu, m", [(1.0, 3), (0.7, 4), (1.3, 5)])
+    def test_bitwise_equal(self, mu, m):
+        chart = _SchwarzschildChart(mu, m)
+        table, old_fn = chart.table, _old_chart_integrand(mu, m, chart.rho_s)
+        np.testing.assert_array_equal(table.f_nodes, old_fn(table.nodes))
+        np.testing.assert_array_equal(table.values, cumulative_quad(old_fn, table.nodes, tol=1e-14))
+
+        values = table.values
+        rng = np.random.default_rng(m)
+        queries = {
+            "nodes": values.copy(),
+            "below nodes": np.nextafter(values[1:], -np.inf),  # starts that land on x1
+            "last interval": np.linspace(values[-2], values[-1], 17),
+            "interior": np.sort(rng.uniform(values[1], values[-1], 5000)),
+            "tiny and interior": np.array([0.0, 1e-300, 1e-200, 1e-130, 0.5, values[-1]]),
+            "tiny only": np.array([0.0, 1e-300, 1e-200]),
+        }
+        on_x1 = 0
+        for name, y in queries.items():
+            expected, x, x1 = _old_inverse(table, old_fn, y)
+            on_x1 += int(np.count_nonzero(x == x1))
+            np.testing.assert_array_equal(table.inverse(y), expected, err_msg=name)
+            np.testing.assert_array_equal(table(x), _old_forward(table, old_fn, x, old_fn(x)), err_msg=name)
+        assert on_x1 > 0  # the branch that reads the next interval was exercised
+
+        w = np.array([0.0, 1e-300, 1e-121, 1e-120, 1e-60, 1e-3, 0.5, 3.0])
+        np.testing.assert_array_equal(table.fn(w), old_fn(w))
+        np.testing.assert_array_equal(table.fn(w[3:]), old_fn(w[3:]))
+
+    @pytest.mark.parametrize("mu, m", [(1.0, 3), (0.7, 4), (1.3, 5)])
+    def test_model_sample_matches_first_formulas(self, mu, m):
+        rho_s = (2.0 * mu) ** (1.0 / (m - 2))
+        s_max = float(_SchwarzschildChart(mu, m).s_of_rho(40.0 * rho_s))
+        model = StaticModel(RadialBase(m, schwarzschild_profile(mu, m), (0.01, s_max)), schwarzschild_warp(mu, m))
+        s = np.linspace(0.01, s_max, 3001)
+        smp = model.sample(s)
+        rho = _SchwarzschildChart(mu, m).rho_of_s(s)
+        sqrt_v = np.sqrt(1.0 - 2.0 * mu * rho ** (2 - m))
+        np.testing.assert_array_equal(smp.g, rho)
+        np.testing.assert_array_equal(smp.gp, sqrt_v)
+        np.testing.assert_array_equal(smp.gpp, mu * (m - 2) * rho ** (1 - m))
+        np.testing.assert_array_equal(smp.h, sqrt_v)
+        np.testing.assert_array_equal(smp.dh, mu * (m - 2) * rho ** (1 - m))
+        np.testing.assert_array_equal(smp.d2h, -mu * (m - 2) * (m - 1) * rho ** (-m) * sqrt_v)
+        # the memoised factors are handed out as fresh arrays
+        for field in smp:
+            field[:] = 0.0
+        np.testing.assert_array_equal(model.sample(s).h, sqrt_v)
+
+
+def _counting(f):
+    def counted(x):
+        counted.calls += 1
+        return f(x)
+
+    counted.calls = 0
+    return counted
+
+
+class TestBrentq:
+    """Brent's method as ported: the same roots, bitwise, as scipy's brentq, after no more calls."""
+
+    CASES = {
+        "smooth": (lambda x: x * x - 2.0, 0.0, 2.0, 1e-12),
+        "cosine": (lambda x: math.cos(x) - x, 0.0, 1.0, 2e-12),
+        "steep": (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 1.0, 1e-12),
+        "exponential": (lambda x: math.exp(x) - 5.0, -3.0, 4.0, 1e-14),
+        "flat cubic": (lambda x: (x - 0.7) ** 3, 0.0, 3.0, 1e-6),
+        "flat cubic, linear term": (lambda x: (x - 0.7) ** 3 + 1e-3 * (x - 0.7), 0.0, 3.0, 1e-12),
+        "quartic root": (lambda x: math.copysign(abs(x - 0.4) ** 0.25, x - 0.4), 0.0, 1.0, 1e-12),
+        "root at a": (lambda x: x, 0.0, 1.0, 1e-12),
+        "root at b": (lambda x: x - 1.0, 0.0, 1.0, 1e-12),
+    }
+
+    @staticmethod
+    def _assert_parity(f, a, b, xtol):
+        from scipy.optimize import brentq as scipy_brentq
+
+        ours, theirs = _counting(f), _counting(f)
+        root = brentq(ours, a, b, xtol=xtol)
+        expected = scipy_brentq(theirs, a, b, xtol=xtol)
+        assert type(root) is float
+        assert root == expected and math.copysign(1.0, root) == math.copysign(1.0, expected)
+        assert ours.calls <= theirs.calls
+        return root
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_scipy(self, name):
+        self._assert_parity(*self.CASES[name])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-2.0, 2.0),
+        st.floats(0.0, 5.0),
+        st.floats(0.1, 20.0),
+        st.sampled_from([1e-12, 1e-6, 1e-2, 0.3]),
+    )
+    def test_matches_scipy_drawn(self, root, curve, scale, xtol):
+        # cubic and exponential terms bend the secant; loose tolerances test the minimum step
+        self._assert_parity(
+            lambda x: math.expm1(scale * (x - root)) + curve * (x - root) ** 3, -3.0, 3.0, xtol
+        )
+
+    def test_barrier_shift_matches_scipy(self, monkeypatch):
+        solves = []
+
+        def recording(f, a, b, xtol):
+            solves.append((f, a, b, xtol))
+            return brentq(f, a, b, xtol)
+
+        monkeypatch.setattr(barriers, "brentq", recording)
+        built = barriers.build_barrier_schwarzschild(1.0, 3, 3.0, 6.0, beta=0.1, H0=0.2, rho_max=40.0, n=1601)
+        assert len(solves) == 1  # height_at_control - beta on the bracket [lo, 0]
+        root = self._assert_parity(*solves[0])
+        assert built.beta1 == root < 0.0
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+
+    def test_iteration_cap_raises(self):
+        # scipy also stops here: the fifth-order flat bottom needs more than 100 steps at xtol 1e-12
+        from scipy.optimize import brentq as scipy_brentq
+
+        f = lambda x: (x - 0.7) ** 5  # noqa: E731
+        with pytest.raises(RuntimeError):
+            scipy_brentq(f, 0.0, 3.0, xtol=1e-12)
+        with pytest.raises(RuntimeError, match="after 100 iterations"):
+            brentq(f, 0.0, 3.0, xtol=1e-12)
 
 
 class TestTridiag:
