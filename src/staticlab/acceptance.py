@@ -257,13 +257,7 @@ def criterion_7(seed=42, tol_scale=1.0) -> CriterionResult:
         2, cmp, R=1.0, r=2.0, eps=0.7,
         A=lambda s: np.ones_like(np.asarray(s, dtype=float)), s_max=30.0, n=4000,
     )
-    from .numerics import fd_derivative
-
-    nodes = b.grid.nodes
-    ds = float(nodes[1] - nodes[0])
-    ode_resid = float(np.max(np.abs(
-        fd_derivative(b.w_nodes * b.f.values, ds)[2:-2] / b.w_nodes[2:-2] - b.C * b.rhs_A[2:-2]
-    )))
+    ode_resid = float(np.max(np.abs((barriers.flux_divergence(b) - b.C * b.rhs_A)[2:-2])))
     clause = ode_resid <= 1e-8 * tol_scale
     ok &= clause
     details.append(f"defining ODE residual (w f)'/w - C A = {ode_resid:.3e} (<= 1e-8): "

@@ -1,17 +1,22 @@
 """Radial barrier constructions for the half-space comparison arguments.
 
-Two constructions are provided.  Over a model-comparison base (curvature
-bound encoded by a solution k of k'' - G k >= 0, k(0) = 0, k'(0) = 1) the
-barrier slope is
+A barrier is a radial graph of :mod:`~staticlab.graphs` with m H h = C A:
+its flux obeys the first-integral law F' = m H h w = C A w, with
+w = (k or g)^{m-1} the radial weight, and its height u0 comes from the slope
+f = F/w by the inversion u0' = f / (h sqrt(h^2 + f^2)).  The flux density
+and the inversion are the ones of :mod:`~staticlab.graphs`.
 
-    f_C(s) = (C / k(s)^{m-1}) int_R^s A k^{m-1},    u0 = int_R^s f/sqrt(1+f^2),
+Over a model-comparison space (profile k solving k'' - G k >= 0, k(0) = 0,
+k'(0) = 1, and h = 1) the flux is anchored at F(R) = 0,
+
+    f_C(s) = (C / k(s)^{m-1}) int_R^s A k^{m-1},
 
 with C in (0, 1] picked from the explicit sufficient bound so that
 u0(r) <= eps.  Over a warped radial end (the Schwarzschild application with
-h = sqrt(V)) the slope carries an extra shift beta_1,
+h = sqrt(V)) the barrier is the H = H0 graph, so A = m H0 h and C = 1, and
+its flux is anchored at F(R) = beta_1,
 
-    f_{C,beta_1}(s) = (C int_R^s A g^{m-1} + beta_1) / g(s)^{m-1},
-    u0' = f / (h sqrt(h^2 + f^2)),
+    f_{1,beta_1}(s) = (int_R^s A g^{m-1} + beta_1) / g(s)^{m-1},
 
 and beta_1 <= 0 is chosen (smallest magnitude, ties toward zero) so the
 height at the control sphere stays below beta: a doubling search brackets
@@ -27,7 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RadialBase, StaticModel, schwarzschild_profile, schwarzschild_s_of_rho, schwarzschild_warp
+from . import graphs
+from .geometry import (RadialBase, StaticModel, constant_warp, euclidean_profile, hyperbolic_profile,
+                       schwarzschild_profile, schwarzschild_s_of_rho, schwarzschild_warp)
 from .numerics import Grid, SampledFunction, brentq, cumulative_order3, cumulative_quad, fd_derivative
 from .reporting import EstimateReport, make_report, write_table
 
@@ -36,11 +43,13 @@ __all__ = [
     "BarrierFunction",
     "build_barrier_prod0",
     "build_barrier_schwarzschild",
+    "flux_divergence",
     "verify_barrier",
     "export_barrier_csv",
 ]
 
 ESCAPE_LEVEL = 10.0
+DIVERGENCE_TOL = 1e-7
 
 
 def _uniform_grid_through(R: float, r: float, s_max: float, n: int) -> tuple[np.ndarray, int]:
@@ -69,6 +78,11 @@ class ComparisonModel:
             return t.copy()
         rg = np.sqrt(self.G0)
         return np.sinh(rg * t) / rg
+
+    def space(self, m: int, domain: tuple[float, float]) -> StaticModel:
+        """The comparison space: the base with profile k over ``domain`` and warp h = 1."""
+        profile = hyperbolic_profile(self.G0) if self.G0 > 0 else euclidean_profile()
+        return StaticModel(RadialBase(m, profile, domain), constant_warp(1.0))
 
 
 @dataclass(frozen=True)
@@ -105,6 +119,18 @@ def _tail_min(nodes: np.ndarray, values: np.ndarray) -> float:
     return float(np.min(values[mask]))
 
 
+def _height(f: np.ndarray, h: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """u0 from R: the graph height over ``nodes`` of the slope f = F/w."""
+    return cumulative_order3(graphs._invert(f, h)[0], nodes)
+
+
+def _barrier(nodes: np.ndarray, f: np.ndarray, h: np.ndarray, **fields) -> BarrierFunction:
+    """The barrier with slope f and warp h on ``nodes``; u0 is its :func:`_height`."""
+    grid = Grid(nodes)
+    return BarrierFunction(f=SampledFunction(grid, f), u0=SampledFunction(grid, _height(f, h, nodes)),
+                           h_nodes=h, **fields)
+
+
 def build_barrier_prod0(m, cmp: ComparisonModel, R, r, eps, A, s_max, n=4000) -> BarrierFunction:
     """Barrier over a model-comparison base with u0(R) = 0 and u0(r) <= eps.
 
@@ -120,39 +146,21 @@ def build_barrier_prod0(m, cmp: ComparisonModel, R, r, eps, A, s_max, n=4000) ->
     if np.any(a_nodes <= 0):
         raise ValueError("barrier construction needs A > 0 on the domain")
 
-    w = cmp.k(nodes) ** (m - 1)
-
-    def integrand(s):
-        return np.asarray(A(s), dtype=float) * cmp.k(s) ** (m - 1)
-
-    big_i = cumulative_quad(integrand, nodes, tol=1e-14)
+    space = cmp.space(m, (R, float(nodes[-1])))
+    at_nodes = space.sample(nodes)
+    big_i = cumulative_quad(graphs._flux_density(space, A), nodes, tol=1e-14)
     ratio = np.zeros_like(nodes)
-    ratio[1:] = big_i[1:] / w[1:]
+    ratio[1:] = big_i[1:] / at_nodes.w[1:]
     max_ratio = float(np.max(ratio[nodes <= r]))
     C = min(1.0, eps / ((r - R) * max_ratio)) if max_ratio > 0 else 1.0
-
-    f = C * ratio
-    u0 = cumulative_order3(f / np.sqrt(1.0 + f * f), nodes)
 
     warnings = []
     tail = _tail_min(nodes, ratio)
     if tail <= 0:
         warnings.append(f"liminf probe of the barrier slope is nonpositive ({tail:.3e})")
-    grid = Grid(nodes, "uniform")
-    return BarrierFunction(
-        kind="prod0",
-        m=m,
-        domain=(R, s_max),
-        control=(r, eps),
-        C=C,
-        beta1=0.0,
-        f=SampledFunction(grid, f),
-        u0=SampledFunction(grid, u0),
-        rhs_A=a_nodes,
-        w_nodes=w,
-        h_nodes=np.ones_like(nodes),
-        warnings=tuple(warnings),
-    )
+    return _barrier(nodes, C * ratio, at_nodes.h, kind="prod0", m=m, domain=(R, s_max),
+                    control=(r, eps), C=C, beta1=0.0, rhs_A=a_nodes, w_nodes=at_nodes.w,
+                    warnings=tuple(warnings))
 
 
 def _improper_trend(values_at_decades) -> str:
@@ -189,13 +197,7 @@ def build_barrier_schwarzschild(mu, m, rho1, rho2, beta, H0, rho_max=40.0, n=400
 
     at_nodes = model.sample(nodes)
     h, w = at_nodes.h, at_nodes.w
-
-    def integrand(s):
-        smp = model.sample(s)
-        return m * H0 * smp.h * smp.w
-
-    big_i = cumulative_quad(integrand, nodes, tol=1e-14)
-    C = 1.0
+    big_i = cumulative_quad(graphs._flux_density(model, lambda s: m * H0), nodes, tol=1e-14)
 
     # the root solve reads u0 only at the control node j: interval i of
     # cumulative_order3 uses nodes i-1..i+1 and np.cumsum is sequential, so
@@ -203,9 +205,7 @@ def build_barrier_schwarzschild(mu, m, rho1, rho2, beta, H0, rho_max=40.0, n=400
     big_p, w_p, h_p, nodes_p = big_i[:j + 1], w[:j + 1], h[:j + 1], nodes[:j + 1]
 
     def height_at_control(beta1: float) -> float:
-        f = (C * big_p + beta1) / w_p
-        u0p = f / (h_p * np.sqrt(h_p * h_p + f * f))
-        return float(cumulative_order3(u0p, nodes_p)[-1])
+        return float(_height((big_p + beta1) / w_p, h_p, nodes_p)[-1])
 
     if height_at_control(0.0) <= beta:
         beta1 = 0.0
@@ -222,9 +222,7 @@ def build_barrier_schwarzschild(mu, m, rho1, rho2, beta, H0, rho_max=40.0, n=400
         beta1 = brentq(lambda b1: height_at_control(b1) - beta, lo, 0.0, xtol=1e-12)
         beta1 = min(beta1, 0.0)
 
-    f = (C * big_i + beta1) / w
-    u0p = f / (h * np.sqrt(h * h + f * f))
-    u0 = cumulative_order3(u0p, nodes)
+    f = (big_i + beta1) / w
 
     warnings = []
     rho_probe = np.array([rho1 + 1.0, 1e2, 1e3, 1e4])
@@ -244,32 +242,24 @@ def build_barrier_schwarzschild(mu, m, rho1, rho2, beta, H0, rho_max=40.0, n=400
     if tail <= 0:
         warnings.append("(limAr) probe nonpositive: escape to infinity not ensured")
 
-    grid = Grid(nodes, "uniform")
-    return BarrierFunction(
-        kind="schwarzschild",
-        m=m,
-        domain=(R, s_max),
-        control=(r, beta),
-        C=C,
-        beta1=beta1,
-        f=SampledFunction(grid, f),
-        u0=SampledFunction(grid, u0),
-        rhs_A=m * H0 * np.asarray(h, dtype=float),
-        w_nodes=w,
-        h_nodes=np.asarray(h, dtype=float),
-        warnings=tuple(warnings),
-    )
+    return _barrier(nodes, f, h, kind="schwarzschild", m=m, domain=(R, s_max), control=(r, beta),
+                    C=1.0, beta1=beta1, rhs_A=m * H0 * h, w_nodes=w, warnings=tuple(warnings))
 
 
-def verify_barrier(b: BarrierFunction, escape_level: float = ESCAPE_LEVEL, tol: float = 1e-7,
-                   tol_scale: float = 1.0) -> list[EstimateReport]:
+def flux_divergence(b: BarrierFunction) -> np.ndarray:
+    """(w f)'/w on the barrier's nodes by fourth-order differences: C A for a built barrier."""
+    nodes = b.grid.nodes
+    return fd_derivative(b.w_nodes * b.f.values, float(nodes[1] - nodes[0])) / b.w_nodes
+
+
+def verify_barrier(b: BarrierFunction, tol_scale: float = 1.0) -> list[EstimateReport]:
     """Grid verification of a constructed barrier; failures are verdicts.
 
     Checks: u0 vanishes at the inner anchor, the control-sphere height, the
     escape level before the domain end (with the tail liminf probe recorded),
     the spacelike gradient bound, and the pointwise flux-divergence residual
-    (w f)'/w - A <= tol, which is exact up to the C <= 1 slack in model
-    spaces.
+    :func:`flux_divergence` - A <= DIVERGENCE_TOL, which is exact up to the
+    C <= 1 slack in model spaces.
     """
     nodes = b.grid.nodes
     ds = float(nodes[1] - nodes[0])
@@ -292,8 +282,8 @@ def verify_barrier(b: BarrierFunction, escape_level: float = ESCAPE_LEVEL, tol: 
 
     tail_slope = _tail_min(nodes, f / b.h_nodes)
     rep = make_report(
-        "barrier-escape", lhs=escape_level, rhs=float(u0[-1]),
-        margin=float(u0[-1]) - escape_level, tol=0.0,
+        "barrier-escape", lhs=ESCAPE_LEVEL, rhs=float(u0[-1]),
+        margin=float(u0[-1]) - ESCAPE_LEVEL, tol=0.0,
         grid_meta=f"S_max={float(nodes[-1])!r}",
         notes=(f"tail liminf probe of f/h = {tail_slope:.6g}",),
     )
@@ -311,13 +301,11 @@ def verify_barrier(b: BarrierFunction, escape_level: float = ESCAPE_LEVEL, tol: 
         notes=(f"finite-difference cross-check max h|u0'| = {np.max(hgrad):.12g}",),
     ))
 
-    flux = b.w_nodes * f
-    dflux = fd_derivative(flux, ds)
-    resid = dflux / b.w_nodes - b.rhs_A
+    resid = flux_divergence(b) - b.rhs_A
     worst_resid = float(np.max(resid[2:-2]))
     out.append(make_report(
         "barrier-divergence-residual", lhs=worst_resid, rhs=0.0,
-        margin=-worst_resid, tol=tol * tol_scale,
+        margin=-worst_resid, tol=DIVERGENCE_TOL * tol_scale,
         grid_meta=f"n={nodes.size} ds={ds:.3e}",
         notes=(f"slack expected: (C-1) A <= 0 with C = {b.C!r}",) + b.warnings,
     ))
@@ -325,7 +313,5 @@ def verify_barrier(b: BarrierFunction, escape_level: float = ESCAPE_LEVEL, tol: 
 
 
 def export_barrier_csv(b: BarrierFunction, path) -> None:
-    nodes = b.grid.nodes
-    ds = float(nodes[1] - nodes[0])
-    resid = fd_derivative(b.w_nodes * b.f.values, ds) / b.w_nodes - b.rhs_A
-    write_table(path, "s,f,u0,residual", (nodes, b.f.values, b.u0.values, resid))
+    resid = flux_divergence(b) - b.rhs_A
+    write_table(path, "s,f,u0,residual", (b.grid.nodes, b.f.values, b.u0.values, resid))

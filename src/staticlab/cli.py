@@ -4,9 +4,10 @@ Usage:
     staticlab run <config> [--out DIR] [--seed N] [--tol-scale X]
     staticlab suite <acceptance|quick> [--out DIR] [--seed N] [--tol-scale X]
 
-Configs are INI-style `key = value` files with [model], [task] and optional
-[output] sections; numbers are binary64 decimal text.  Exit codes: 0 when all
-requested checks pass (expected failures count as passes), 2 on check
+Configs are INI-style `key = value` files with [model] and [task] sections
+(a `kind = suite` config needs only [task]); numbers are binary64 decimal
+text.  `--seed` seeds the sampled criteria of a suite.  Exit codes: 0 when
+all requested checks pass (expected failures count as passes), 2 on check
 failure, 1 on usage or configuration errors.
 """
 

@@ -11,7 +11,8 @@ of w ds r telescopes to boundary fluxes minus the load: the discrete
 divergence theorem that underpins the comparison principle.  A hard
 projection keeps face slopes below the spacelike cap 1 - 1e-6 (the
 continuum problem forbids |q Du| >= 1 and near-null states wreck the
-Jacobian conditioning); the cap value is configurable and logged.
+Jacobian conditioning); the cap is the constant ``SLOPE_CAP``, logged with
+each exported solution.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ __all__ = [
     "export_solution_csv",
 ]
 
-DEFAULT_SLOPE_CAP = 1.0 - 1e-6
+SLOPE_CAP = 1.0 - 1e-6
 
 
 class SlopeCapError(ValueError):
@@ -55,21 +56,20 @@ class MeshOperator:
     """Grid plus face data of the discrete operator.
 
     ``w_nodes``/``w_faces`` sample the radial measure g^{m-1}; ``q_faces``
-    the coefficient (the warp h) at face midpoints.
+    the coefficient (the warp h) at face midpoints.  ``slope_cap`` is
+    ``SLOPE_CAP`` for every operator.
     """
 
     grid: Grid
     w_nodes: np.ndarray
     w_faces: np.ndarray
     q_faces: np.ndarray
-    slope_cap: float = DEFAULT_SLOPE_CAP
+    slope_cap = SLOPE_CAP
 
     def __post_init__(self):
         ds = np.diff(self.grid.nodes)
         if np.max(ds) > 10.0 * np.min(ds):
             raise ValueError("degenerate mesh: cell sizes vary by more than 10x")
-        if not 0.0 < self.slope_cap < 1.0:
-            raise ValueError("slope cap must lie in (0, 1)")
         for name, arr, size in (
             ("w_nodes", self.w_nodes, len(self.grid)),
             ("w_faces", self.w_faces, len(self.grid) - 1),
@@ -85,10 +85,9 @@ class MeshOperator:
             raise ValueError("w_nodes must be positive (keep the pole off the mesh)")
 
     @classmethod
-    def from_model(cls, model: StaticModel, grid: Grid, slope_cap: float = DEFAULT_SLOPE_CAP) -> "MeshOperator":
+    def from_model(cls, model: StaticModel, grid: Grid) -> "MeshOperator":
         at_faces = model.sample(0.5 * (grid.nodes[:-1] + grid.nodes[1:]))
-        return cls(grid=grid, w_nodes=model.sample(grid.nodes).w, w_faces=at_faces.w, q_faces=at_faces.h,
-                   slope_cap=slope_cap)
+        return cls(grid=grid, w_nodes=model.sample(grid.nodes).w, w_faces=at_faces.w, q_faces=at_faces.h)
 
     @property
     def ds_cells(self) -> np.ndarray:
@@ -199,8 +198,7 @@ def _clip_step(op: MeshOperator, u: np.ndarray, delta_interior: np.ndarray) -> f
     return float(np.min(np.where(hi > 0, hi, 0.0), initial=1.0))
 
 
-def _solve_fixed_rhs(problem: DirichletProblem, u0: np.ndarray, damping: float,
-                     tol: float, max_iter: int) -> np.ndarray:
+def _solve_fixed_rhs(problem: DirichletProblem, u0: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     op = problem.operator
     u = u0.copy()
     r = residual(op, u, problem.rhs)
@@ -219,7 +217,7 @@ def _solve_fixed_rhs(problem: DirichletProblem, u0: np.ndarray, damping: float,
         lin_res = _tridiag_apply(lower, diag, upper, delta) + r
         delta -= tridiag_solve(lower, diag, upper, lin_res)
         clip = _clip_step(op, u, delta)
-        alpha = min(damping, 1.0 if clip >= 1.0 else 0.999 * clip)
+        alpha = 1.0 if clip >= 1.0 else 0.999 * clip
         if alpha <= 0:
             raise NewtonStagnationError(
                 f"step fully clipped by the spacelike cap (residual {norm:.3e})"
@@ -250,8 +248,7 @@ def _solve_fixed_rhs(problem: DirichletProblem, u0: np.ndarray, damping: float,
     raise NewtonStagnationError(f"no convergence in {max_iter} iterations (residual {norm:.3e})")
 
 
-def newton_solve(problem: DirichletProblem, damping: float = 1.0, tol: float = 1e-9,
-                 max_iter: int = 60) -> SampledFunction:
+def newton_solve(problem: DirichletProblem, tol: float = 1e-9, max_iter: int = 60) -> SampledFunction:
     """Damped Newton with analytic tridiagonal Jacobian and load continuation.
 
     The cold start is the linear interpolant of the boundary data (which must
@@ -271,12 +268,12 @@ def newton_solve(problem: DirichletProblem, damping: float = 1.0, tol: float = 1
     if np.any(op.q_faces * lin_slope >= op.slope_cap):
         raise ValueError("boundary data does not admit a spacelike linear interpolant")
     try:
-        u = _solve_fixed_rhs(problem, u_lin, damping, tol, max_iter)
+        u = _solve_fixed_rhs(problem, u_lin, tol, max_iter)
     except NewtonStagnationError:
         u = u_lin
         for t in (0.25, 0.5, 0.75, 1.0):
             staged = DirichletProblem(op, t * problem.rhs, problem.bc)
-            u = _solve_fixed_rhs(staged, u, damping, tol, max_iter)
+            u = _solve_fixed_rhs(staged, u, tol, max_iter)
     return SampledFunction(op.grid, u)
 
 

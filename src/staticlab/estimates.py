@@ -51,6 +51,9 @@ __all__ = [
     "angle_machine_step1",
 ]
 
+CHEEGER_RADII = 24  # log-spaced radii of a Cheeger profile
+COSH_SAMPLES = 12  # sample radii of the pointwise angle lower estimate
+
 
 def sphere_area(m: int) -> float:
     """Area omega_{m-1} of the unit (m-1)-sphere; 2 pi and 4 pi hard-coded."""
@@ -259,8 +262,8 @@ class CheegerProfile:
     assumption: str
 
 
-def cheeger_profile(model: StaticModel, r_max: float, num: int = 24) -> CheegerProfile:
-    """Boundary-to-volume ratios on log-spaced radii and their tail minimum.
+def cheeger_profile(model: StaticModel, r_max: float) -> CheegerProfile:
+    """Boundary-to-volume ratios on ``CHEEGER_RADII`` log-spaced radii; their tail minimum.
 
     The infimum is restricted to geodesic balls; for the built-in radially
     symmetric models balls are isoperimetrically optimal, and that assumption
@@ -271,7 +274,7 @@ def cheeger_profile(model: StaticModel, r_max: float, num: int = 24) -> CheegerP
         raise ValueError("cheeger_profile needs a pole-anchored model")
     model.base.check_domain(r_max)
     vc = _volumes(model)
-    radii = np.geomspace(r_max / 50.0, r_max, num)
+    radii = np.geomspace(r_max / 50.0, r_max, CHEEGER_RADII)
     ratios = np.asarray(vc.bvol(radii), dtype=float) / np.asarray(vc.vol(radii), dtype=float)
     assumption = (
         "infimum restricted to geodesic balls; isoperimetric optimality of balls "
@@ -280,13 +283,13 @@ def cheeger_profile(model: StaticModel, r_max: float, num: int = 24) -> CheegerP
     return CheegerProfile(radii=radii, ratios=ratios, c_hat=float(np.min(ratios)), assumption=assumption)
 
 
-def dirichlet_lambda1(weight_fn, r_trunc: float, mesh_n: int, left_bc: str = "natural") -> float:
-    """Lowest Dirichlet eigenvalue of -(1/w)(w v')' on (0, r_trunc).
+def dirichlet_lambda1(weight_fn, r_trunc: float, mesh_n: int) -> float:
+    """Lowest eigenvalue of -(1/w)(w v')' on (0, r_trunc), Dirichlet at r_trunc.
 
+    The left end takes the natural (zero-flux) condition, the pole condition.
     Finite differences with face-centred weights give A v = lambda M v with
     A symmetric tridiagonal and M diagonal; the lowest eigenvalue of the
-    symmetrised matrix M^{-1/2} A M^{-1/2} comes from LAPACK.  ``left_bc`` is
-    'natural' (zero flux, the pole condition) or 'dirichlet'.
+    symmetrised matrix M^{-1/2} A M^{-1/2} comes from LAPACK.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -298,25 +301,17 @@ def dirichlet_lambda1(weight_fn, r_trunc: float, mesh_n: int, left_bc: str = "na
     wf = np.asarray(weight_fn(faces), dtype=float)
     wn = np.asarray(weight_fn(s), dtype=float)
 
-    if left_bc == "natural":
-        # unknowns v_0 .. v_{n-1}; v_n = 0; zero flux through the left end
-        mass = wn[:mesh_n].copy()
-        if wn[0] == 0.0:
-            mass[0] = 0.5 * float(weight_fn(np.asarray([0.25 * ds]))[0])
-        else:
-            mass[0] = 0.5 * wn[0]
-        diag = np.empty(mesh_n)
-        diag[0] = wf[0] / ds**2
-        diag[1:] = (wf[:-1] + wf[1:]) / ds**2
-        # face between unknowns v_i and v_{i+1} is face i
-        upper = -wf[: mesh_n - 1] / ds**2
-    elif left_bc == "dirichlet":
-        # unknowns v_1 .. v_{n-1}; v_0 = v_n = 0
-        mass = wn[1:mesh_n].copy()
-        diag = (wf[:-1] + wf[1:]) / ds**2
-        upper = -wf[1 : mesh_n - 1] / ds**2
+    # unknowns v_0 .. v_{n-1}; v_n = 0; zero flux through the left end
+    mass = wn[:mesh_n].copy()
+    if wn[0] == 0.0:
+        mass[0] = 0.5 * float(weight_fn(np.asarray([0.25 * ds]))[0])
     else:
-        raise ValueError("left_bc must be 'natural' or 'dirichlet'")
+        mass[0] = 0.5 * wn[0]
+    diag = np.empty(mesh_n)
+    diag[0] = wf[0] / ds**2
+    diag[1:] = (wf[:-1] + wf[1:]) / ds**2
+    # face between unknowns v_i and v_{i+1} is face i
+    upper = -wf[: mesh_n - 1] / ds**2
 
     # M^{-1/2} A M^{-1/2} stays O(1)-scaled however fast the weight grows
     root = np.sqrt(mass)
@@ -340,7 +335,7 @@ def lambda1_estimate(model: StaticModel, r_trunc: float, mesh_n: int) -> float:
         smp = model.sample(np.maximum(np.asarray(s, dtype=float), 0.0))
         return smp.h * smp.w
 
-    return dirichlet_lambda1(weight, r_trunc, mesh_n, left_bc="natural")
+    return dirichlet_lambda1(weight, r_trunc, mesh_n)
 
 
 def salavessa_check(graph: RadialGraph, spec, r_list, tol: float = 1e-9) -> EstimateReport:
@@ -370,11 +365,11 @@ def salavessa_check(graph: RadialGraph, spec, r_list, tol: float = 1e-9) -> Esti
 
 
 def cosh_lower_estimate_check(graph: RadialGraph, spec, R: float, r: float,
-                              num_samples: int = 12, tol: float = 1e-8) -> EstimateReport:
+                              tol: float = 1e-8) -> EstimateReport:
     """Pointwise and integrated angle lower estimates on [R, r].
 
     Pointwise: sqrt(cosh^2 theta - 1) bvol/vol >= m |mean H| at the grid
-    nodes nearest to evenly spaced sample radii (one :func:`mean_H_average`
+    nodes nearest to ``COSH_SAMPLES`` evenly spaced radii (one :func:`mean_H_average`
     call for all of them).  Integrated: the annulus maximum of
     sqrt(cosh^2 theta - 1) times the log-volume difference quotient
     dominates the minimum of m |mean H|.
@@ -386,7 +381,7 @@ def cosh_lower_estimate_check(graph: RadialGraph, spec, R: float, r: float,
     model = graph.model
     vc = _volumes(model)
     nodes = graph.grid.nodes
-    samples = np.linspace(R, r, num_samples)
+    samples = np.linspace(R, r, COSH_SAMPLES)
     idx = np.argmin(np.abs(nodes[None, :] - samples[:, None]), axis=1)
     idx = idx[nodes[idx] > 0]
     sn = nodes[idx]
@@ -400,7 +395,7 @@ def cosh_lower_estimate_check(graph: RadialGraph, spec, R: float, r: float,
     return make_report(
         "cosh-lower-estimate", lhs=margin, rhs=0.0,
         margin=margin, tol=tol,
-        grid_meta=f"[{R}, {r}] with {num_samples} samples",
+        grid_meta=f"[{R}, {r}] with {COSH_SAMPLES} samples",
         notes=(f"integrated-form margin {integrated_margin:.6g}",),
     )
 

@@ -37,7 +37,6 @@ class Grid:
     """Strictly increasing abscissae s_0 < ... < s_N with N >= 8."""
 
     nodes: np.ndarray
-    spacing_kind: str = "uniform"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -48,18 +47,10 @@ class Grid:
             raise ValueError("grid nodes must be finite")
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("grid nodes must be strictly increasing")
-        if self.spacing_kind not in ("uniform", "geometric"):
-            raise ValueError(f"unknown spacing kind {self.spacing_kind!r}")
 
     @classmethod
     def uniform(cls, a: float, b: float, num: int) -> "Grid":
-        return cls(np.linspace(a, b, num), "uniform")
-
-    @classmethod
-    def geometric(cls, a: float, b: float, num: int) -> "Grid":
-        if a <= 0:
-            raise ValueError("geometric grids need a > 0")
-        return cls(np.geomspace(a, b, num), "geometric")
+        return cls(np.linspace(a, b, num))
 
     def __len__(self) -> int:
         return self.nodes.size

@@ -114,8 +114,9 @@ def reports_to_text(reports) -> str:
     return out.getvalue()
 
 
-def svg_polyline(xs, ys, path, title="", width=640, height=400, margin=48) -> None:
+def svg_polyline(xs, ys, path, title="") -> None:
     """Write a single-polyline SVG plot; a convenience, never a verdict input."""
+    width, height, margin = 640, 400, 48
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     x0, x1 = float(np.min(xs)), float(np.max(xs))

@@ -11,7 +11,17 @@ from staticlab.barriers import (
     export_barrier_csv,
     verify_barrier,
 )
-from staticlab.geometry import schwarzschild_rho_of_s, schwarzschild_s_of_rho
+from staticlab.geometry import (
+    RadialBase,
+    StaticModel,
+    constant_warp,
+    hyperbolic_profile,
+    schwarzschild_profile,
+    schwarzschild_rho_of_s,
+    schwarzschild_s_of_rho,
+    schwarzschild_warp,
+)
+from staticlab.graphs import Anchor, MeanCurvSpec, constant_H, solve_radial_graph
 from staticlab.numerics import Grid, SampledFunction, cumulative_order3, quad
 
 ONES = lambda s: np.ones_like(np.asarray(s, dtype=float))
@@ -31,6 +41,14 @@ class TestComparisonModel:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ComparisonModel(-1.0)
+
+    @pytest.mark.parametrize("G0", [0.0, 1.0, 2.5])
+    def test_space_profile_is_k(self, G0):
+        cmp = ComparisonModel(G0)
+        t = np.linspace(0.5, 20.0, 101)
+        smp = cmp.space(3, (0.5, 20.0)).sample(t)
+        assert np.array_equal(smp.g, cmp.k(t)) and np.array_equal(smp.w, cmp.k(t) ** 2)
+        assert np.all(smp.h == 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +205,34 @@ def test_export_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "s,f,u0,residual"
     assert len(lines) == len(b.grid) + 1
+
+
+class TestBarriersAreGraphs:
+    """Each builder's barrier is the radial graph of its flux law.
+
+    Schwarzschild: the H = H0 graph with anchor flux F(R) = beta_1.  prod0:
+    the graph over the comparison space (h = 1, g = k) with m H = C A and
+    F(R) = 0.  The graph's height is u0 and its F/g^{m-1} is f.
+    """
+
+    @staticmethod
+    def assert_same(b, graph):
+        w = b.w_nodes
+        assert np.max(np.abs(b.u0.values - graph.tau)) <= 1e-12
+        assert np.max(np.abs(b.f.values - graph.flux / w)) <= 1e-13
+
+    def test_schwarzschild(self, schw_barrier):
+        b = schw_barrier
+        model = StaticModel(RadialBase(3, schwarzschild_profile(1.0, 3), (0.2, 80.0)),
+                            schwarzschild_warp(1.0, 3))
+        graph = solve_radial_graph(model, constant_H(0.2), Anchor.point(b.grid.a, 0.0, b.beta1), b.grid)
+        self.assert_same(b, graph)
+
+    def test_prod0(self):
+        b = build_barrier_prod0(2, ComparisonModel(1.0), R=1.0, r=2.0, eps=0.2,
+                                A=ONES, s_max=30.0, n=4000)
+        assert b.C < 1.0
+        model = StaticModel(RadialBase(2, hyperbolic_profile(1.0), (0.0, 32.0)), constant_warp(1.0))
+        spec = MeanCurvSpec("radial", H_fn=lambda s: b.C * ONES(s) / 2)
+        graph = solve_radial_graph(model, spec, Anchor.point(1.0, 0.0, 0.0), b.grid)
+        self.assert_same(b, graph)

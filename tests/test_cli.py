@@ -1,9 +1,14 @@
+import csv
+import json
 import os
 
 import pytest
 
 from staticlab import cli
 
+# exit code and reports.csv verdicts of each bundled scenario; the benchmark
+# checks its scenario runs against the same file
+EXPECTED = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "expected_verdicts.json")
 
 BUNDLED = [
     "hyperbolic_cmc",
@@ -25,8 +30,12 @@ def test_bundled_scenarios_exist():
 def test_bundled_scenarios_exit_zero(name, tmp_path, capsys):
     code = cli.main(["run", cli.bundled_scenario(name), "--out", str(tmp_path)])
     out = capsys.readouterr().out
-    assert code == 0, out
-    assert (tmp_path / name / "reports.csv").exists()
+    with open(EXPECTED) as fh:
+        expected = json.load(fh)[name]
+    assert code == expected["exit"] == 0, out
+    with open(tmp_path / name / "reports.csv", newline="") as fh:
+        verdicts = [[row["check"], row["verdict"]] for row in csv.DictReader(fh)]
+    assert verdicts == expected["verdicts"]
     assert (tmp_path / name / "summary.txt").exists()
 
 

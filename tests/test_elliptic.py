@@ -30,14 +30,9 @@ def catenoid_exact(nodes):
 class TestOperator:
     def test_degenerate_mesh_rejected(self, euclid_annulus):
         nodes = np.concatenate([np.linspace(1.0, 1.5, 200), np.linspace(1.6, 2.0, 5)])
-        grid = Grid(np.unique(nodes), "uniform")
+        grid = Grid(np.unique(nodes))
         with pytest.raises(ValueError, match="10x"):
             MeshOperator.from_model(euclid_annulus, grid)
-
-    def test_cap_range(self, euclid_annulus):
-        grid = Grid.uniform(1.0, 2.0, 101)
-        with pytest.raises(ValueError):
-            MeshOperator.from_model(euclid_annulus, grid, slope_cap=1.5)
 
 
 class TestResidual:

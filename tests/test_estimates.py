@@ -261,9 +261,11 @@ class TestLambda1:
         assert lambda1_estimate(_plane_model(euclidean_profile(), 40.0), 40.0, 2000) <= 0.01
 
     def test_flat_interval_sine_oracle(self):
-        lam = dirichlet_lambda1(lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                                math.pi, 400, left_bc="dirichlet")
-        assert lam == pytest.approx(1.0, abs=1e-3)
+        # w = 1 on [0, pi], natural at 0 and Dirichlet at pi: v = sin((pi - s)/2),
+        # lambda1 = 1/4; second order, 3.2e-7 at n = 400 and 8.0e-8 at n = 800
+        ones = lambda s: np.ones_like(np.asarray(s, dtype=float))
+        for n in (400, 800):
+            assert dirichlet_lambda1(ones, math.pi, n) == pytest.approx(0.25, abs=1e-6)
 
     def test_mesh_floor(self, hyperbolic_model):
         with pytest.raises(ValueError):

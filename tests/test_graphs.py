@@ -149,7 +149,7 @@ class TestSolve:
         assert np.max(np.abs(other - g.cosh_theta)) <= 1e-10
 
     def test_solve_on_geometric_grid(self, euclid_annulus):
-        grid = Grid.geometric(1.0, 4.0, 401)
+        grid = Grid(np.geomspace(1.0, 4.0, 401))
         g = solve_radial_graph(euclid_annulus, zero_H(), Anchor.point(1.0, 0.0, 1.0), grid)
         exact = np.arcsinh(grid.nodes) - np.arcsinh(1.0)
         assert np.max(np.abs(g.tau - exact)) <= 1e-6
@@ -226,6 +226,15 @@ class TestGaugeConsistency:
         ds = float(s[1] - s[0])
         mh = fd_derivative(g.flux, ds)[5:-5] / np.sinh(s[5:-5])
         assert np.max(np.abs(mh - 1.0)) <= 1e-6
+
+    def test_nonuniform_grid_rejected(self, euclid_annulus):
+        # both routes difference with the first cell's width: on geometric
+        # nodes each recovered m H runs from 0.60 to 2.38 against the true 0.6,
+        # yet the two routes agree to 3.4e-14, so the check must refuse the grid
+        grid = Grid(np.geomspace(1.0, 4.0, 401))
+        g = solve_radial_graph(euclid_annulus, constant_H(0.3), Anchor.point(1.0, 0.0, 0.0), grid)
+        with pytest.raises(ValueError, match="uniform"):
+            gauge_consistency_check(g)
 
 
 def test_angle_profile_invariant(hyperbolic_model):

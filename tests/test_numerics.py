@@ -55,14 +55,6 @@ class TestGrid:
         with pytest.raises(ValueError):
             SampledFunction(g, np.zeros(7))
 
-    def test_geometric_spacing(self):
-        g = Grid.geometric(1.0, 16.0, 9)
-        assert g.spacing_kind == "geometric"
-        ratios = g.nodes[1:] / g.nodes[:-1]
-        assert np.allclose(ratios, ratios[0])
-        with pytest.raises(ValueError):
-            Grid.geometric(0.0, 1.0, 9)
-
     def test_sampled_function_interpolates(self):
         g = Grid.uniform(0.0, 1.0, 11)
         f = SampledFunction(g, g.nodes**2)
