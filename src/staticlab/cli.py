@@ -226,13 +226,11 @@ def _task_estimates(cp, model, outdir, tol_scale):
 
 
 def _task_growth(cp, model, outdir, tol_scale):
-    gd = estimates.growth_diagnostics(model, _getfloat(cp, "task", "r_max", 100.0))
-    reports = []
-    for name, value, trend in gd.rows():
-        reports.append(make_report(name, lhs=value, rhs=float("inf"), margin=0.0, tol=0.0,
-                                   grid_meta=f"r_max={_getfloat(cp, 'task', 'r_max', 100.0)!r}",
-                                   notes=(f"trend: {trend}",)))
-    return reports
+    r_max = _getfloat(cp, "task", "r_max", 100.0)
+    gd = estimates.growth_diagnostics(model, r_max)
+    return [make_report(name, lhs=value, rhs=float("inf"), margin=0.0, tol=0.0, grid_meta=f"r_max={r_max!r}",
+                        notes=(f"trend: {trend}",))
+            for name, value, trend in gd.rows()]
 
 
 def _task_angle_bound(cp, model, outdir, tol_scale):

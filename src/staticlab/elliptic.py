@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 SLOPE_CAP = 1.0 - 1e-6
+COMPARISON_TOL = 1e-8  # report tolerance of the comparison-principle check
 
 
 class SlopeCapError(ValueError):
@@ -277,9 +278,8 @@ def newton_solve(problem: DirichletProblem, tol: float = 1e-9, max_iter: int = 6
     return SampledFunction(op.grid, u)
 
 
-def comparison_check(op: MeshOperator, u, v, rhs_u=0.0, rhs_v=0.0,
-                     tol: float = 1e-8) -> EstimateReport:
-    """Discrete comparison principle: ordered operators and boundary imply order.
+def comparison_check(op: MeshOperator, u, v) -> EstimateReport:
+    """Discrete comparison principle at zero load: ordered operators and boundary imply order.
 
     Precondition violations (operator ordering or boundary ordering) yield a
     distinct precondition-failure verdict rather than a comparison failure.
@@ -287,11 +287,11 @@ def comparison_check(op: MeshOperator, u, v, rhs_u=0.0, rhs_v=0.0,
     uv = _node_values(u)
     vv = _node_values(v)
     try:
-        ru = residual(op, uv, rhs_u)
-        rv = residual(op, vv, rhs_v)
+        ru = residual(op, uv, 0.0)
+        rv = residual(op, vv, 0.0)
     except SlopeCapError as exc:
         return precondition_failure(
-            "comparison-principle", tol=tol,
+            "comparison-principle", tol=COMPARISON_TOL,
             notes=("esssup q|Du| < 1 hypothesis violated: " + str(exc),),
         )
     notes = []
@@ -303,10 +303,10 @@ def comparison_check(op: MeshOperator, u, v, rhs_u=0.0, rhs_v=0.0,
         ok = False
         notes.append("boundary ordering u >= v violated")
     if not ok:
-        return precondition_failure("comparison-principle", tol=tol, notes=tuple(notes))
+        return precondition_failure("comparison-principle", tol=COMPARISON_TOL, notes=tuple(notes))
     gap = float(np.min(uv - vv))
     return make_report(
-        "comparison-principle", lhs=float(np.min(vv - uv)), rhs=0.0, margin=gap, tol=tol,
+        "comparison-principle", lhs=float(np.min(vv - uv)), rhs=0.0, margin=gap, tol=COMPARISON_TOL,
         grid_meta=f"n={len(op.grid)}",
     )
 

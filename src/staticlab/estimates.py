@@ -53,6 +53,7 @@ __all__ = [
 
 CHEEGER_RADII = 24  # log-spaced radii of a Cheeger profile
 COSH_SAMPLES = 12  # sample radii of the pointwise angle lower estimate
+STEP1_TOL = 1e-10  # report tolerance of the step-1 angle machine
 
 
 def sphere_area(m: int) -> float:
@@ -526,8 +527,7 @@ class Step1Result:
     x0_index: int
 
 
-def angle_machine_step1(graph: RadialGraph, params: AngleMachineParams, t0: float,
-                        tol: float = 1e-10) -> Step1Result:
+def angle_machine_step1(graph: RadialGraph, params: AngleMachineParams, t0: float) -> Step1Result:
     """Build the cutoffs phi/eta/zeta, locate the zeta maximum, check Step 1.
 
     The distance is |s - s_o| from the anchor (exact for radial bases with
@@ -592,7 +592,7 @@ def angle_machine_step1(graph: RadialGraph, params: AngleMachineParams, t0: floa
     if not model.lorentzian_product:
         notes.append("model is not a Lorentzian product: Theta uses the sigma-hat slope")
     report = make_report(
-        "angle-machine-step1", lhs=lhs, rhs=rhs, margin=rhs - lhs, tol=tol,
+        "angle-machine-step1", lhs=lhs, rhs=rhs, margin=rhs - lhs, tol=STEP1_TOL,
         grid_meta=f"R={params.R!r} C={params.C!r} K={params.K!r} n={nodes.size}",
         notes=tuple(notes),
     )

@@ -79,9 +79,6 @@ class SampledFunction:
         if not np.all(np.isfinite(values)):
             raise ValueError("sampled values must be finite")
 
-    def __call__(self, s: float) -> float:
-        return float(np.interp(s, self.grid.nodes, self.values))
-
 
 def _simpson(fa, fm, fb, h):
     return h * (fa + 4.0 * fm + fb) / 6.0

@@ -7,7 +7,9 @@ gradient estimate.  Dimensions stay tiny (n <= 8).  The curvature tensors
 are plain dense numpy; the batch kernels sweep many points at once and
 treat the metrics a_up = id + Theta^2 u(x)u and a_down = id - u(x)u as
 rank-one updates of id, so they never form or multiply m x m metric
-matrices.
+matrices.  They take their rows in blocks of BLOCK_ROWS into one
+preallocated output.  Every operation is row-local, so results are bitwise
+the same for any batch size, and the sampler draws the same stream.
 """
 
 from __future__ import annotations
@@ -27,7 +29,10 @@ __all__ = [
     "pseudo_jacobi_gap_batch",
     "project_a_tracefree_batch",
     "sample_gradhess_batch",
+    "row_blocks",
 ]
+
+BLOCK_ROWS = 2048  # rows per block of the batch kernels
 
 
 @dataclass(frozen=True)
@@ -46,10 +51,6 @@ class SymForm:
         scale = max(1.0, float(np.max(np.abs(a))))
         if np.max(np.abs(a - a.T)) > 1e-12 * scale:
             raise ValueError("SymForm entries are not symmetric within 1e-12")
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,6 @@ class Curv4Tensor:
             raise ValueError("Curv4Tensor needs an (n,n,n,n) array")
         eps = np.ones(n) if self.eps is None else np.asarray(self.eps, dtype=float)
         object.__setattr__(self, "eps", eps)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
     def symmetry_residual(self) -> float:
         """Max violation of the pair symmetries and the first Bianchi sum."""
@@ -98,7 +95,7 @@ def kulkarni_nomizu(alpha: SymForm, beta: SymForm) -> Curv4Tensor:
     (a @ b)(X1,X2,X3,X4) = a(X1,X3) b(X2,X4) + a(X2,X4) b(X1,X3)
                          - a(X1,X4) b(X2,X3) - a(X2,X3) b(X1,X4)
     """
-    if alpha.n != beta.n:
+    if alpha.entries.shape != beta.entries.shape:
         raise ValueError("Kulkarni-Nomizu product needs matching dimensions")
     a = alpha.entries
     b = beta.entries
@@ -145,18 +142,26 @@ def static_riemann(model: StaticModel, s) -> Curv4Tensor:
     return Curv4Tensor(riem + correction.entries, eps=eps)
 
 
+def row_blocks(*arrays):
+    """Views of BLOCK_ROWS rows at a time of each array, zipped block by block."""
+    return zip(*(np.split(a, range(BLOCK_ROWS, a.shape[0], BLOCK_ROWS)) for a in arrays))
+
+
 def coercivity_gap_batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """<X/sqrt(1-|X|^2) - Y/sqrt(1-|Y|^2), X - Y> for each row pair (X, Y).
 
     Nonnegative for |X|, |Y| < 1; a row on or outside the unit ball raises.
     """
-    nx = np.einsum("ni,ni->n", xs, xs)
-    ny = np.einsum("ni,ni->n", ys, ys)
-    if np.any(nx >= 1.0) or np.any(ny >= 1.0):
-        raise ValueError("coercivity_gap needs |X| < 1 and |Y| < 1")
-    fx = xs / np.sqrt(1.0 - nx)[:, None]
-    fy = ys / np.sqrt(1.0 - ny)[:, None]
-    return np.einsum("ni,ni->n", fx - fy, xs - ys)
+    out = np.empty(xs.shape[0])
+    for x, y, gap in row_blocks(xs, ys, out):
+        nx = np.einsum("ni,ni->n", x, x)
+        ny = np.einsum("ni,ni->n", y, y)
+        if np.any(nx >= 1.0) or np.any(ny >= 1.0):
+            raise ValueError("coercivity_gap needs |X| < 1 and |Y| < 1")
+        fx = x / np.sqrt(1.0 - nx)[:, None]
+        fy = y / np.sqrt(1.0 - ny)[:, None]
+        np.einsum("ni,ni->n", fx - fy, x - y, out=gap)
+    return out
 
 
 def project_a_tracefree_batch(us: np.ndarray, hs: np.ndarray) -> np.ndarray:
@@ -167,16 +172,19 @@ def project_a_tracefree_batch(us: np.ndarray, hs: np.ndarray) -> np.ndarray:
     constraint exactly (up to roundoff).  a_up is a rank-one update of id, so
     with v = h u the traces are tr_a h = tr h + Theta^2 u.v and
     tr_a id = m + Theta^2 |u|^2; no m x m matrix besides h is formed.
+    Returns a new array; ``hs`` is left unmodified.
     """
     m = us.shape[1]
-    nu = np.einsum("ni,ni->n", us, us)
-    th2 = 1.0 / (1.0 - nu)
-    hs = 0.5 * (hs + np.swapaxes(hs, 1, 2))
-    v = np.einsum("nij,nj->ni", hs, us)
-    tr_a = np.einsum("nii->n", hs) + th2 * np.einsum("ni,ni->n", us, v)
     diag = np.arange(m)
-    hs[:, diag, diag] -= (tr_a / (m + th2 * nu))[:, None]
-    return hs
+    out = np.empty(hs.shape)
+    for u, raw, h in row_blocks(us, hs, out):
+        h[...] = 0.5 * (raw + np.swapaxes(raw, 1, 2))
+        nu = np.einsum("ni,ni->n", u, u)
+        th2 = 1.0 / (1.0 - nu)
+        v = np.einsum("nij,nj->ni", h, u)
+        tr_a = np.einsum("nii->n", h) + th2 * np.einsum("ni,ni->n", u, v)
+        h[:, diag, diag] -= (tr_a / (m + th2 * nu))[:, None]
+    return out
 
 
 def pseudo_jacobi_gap_batch(us: np.ndarray, hs: np.ndarray, alpha: float) -> np.ndarray:
@@ -194,22 +202,25 @@ def pseudo_jacobi_gap_batch(us: np.ndarray, hs: np.ndarray, alpha: float) -> np.
     near the null cone.
     """
     m = us.shape[1]
-    nu = np.einsum("ni,ni->n", us, us)
-    if np.any(nu >= 1.0):
-        raise ValueError("pseudo_jacobi_gap needs |u| < 1")
     if not 0.0 < alpha <= 1.0 / (m - 1):
         raise ValueError("alpha must lie in (0, 1/(m-1)]")
-    th2 = 1.0 / (1.0 - nu)
-    v = np.einsum("nij,nj->ni", hs, us)
-    uv = np.einsum("ni,ni->n", us, v)
-    b = np.einsum("ni,nj->nij", th2[:, None] * us, v)
-    b += hs
-    scale = np.maximum(1.0, np.max(np.abs(b), axis=(1, 2)))
-    if np.any(np.abs(np.einsum("nii->n", hs) + th2 * uv) > 1e-10 * scale):
-        raise ValueError("pseudo_jacobi_gap: hessian is not a-trace-free")
-    tr_b2 = np.einsum("nij,nji->n", b, b)
-    second = np.einsum("ni,ni->n", v, v) + th2 * uv * uv
-    return tr_b2 - (alpha + 1.0) * th2 * second
+    out = np.empty(us.shape[0])
+    for u, h, gap in row_blocks(us, hs, out):
+        nu = np.einsum("ni,ni->n", u, u)
+        if np.any(nu >= 1.0):
+            raise ValueError("pseudo_jacobi_gap needs |u| < 1")
+        th2 = 1.0 / (1.0 - nu)
+        v = np.einsum("nij,nj->ni", h, u)
+        uv = np.einsum("ni,ni->n", u, v)
+        b = np.einsum("ni,nj->nij", th2[:, None] * u, v)
+        b += h
+        scale = np.maximum(1.0, np.max(np.abs(b), axis=(1, 2)))
+        if np.any(np.abs(np.einsum("nii->n", h) + th2 * uv) > 1e-10 * scale):
+            raise ValueError("pseudo_jacobi_gap: hessian is not a-trace-free")
+        tr_b2 = np.einsum("nij,nji->n", b, b)
+        second = np.einsum("ni,ni->n", v, v) + th2 * uv * uv
+        gap[...] = tr_b2 - (alpha + 1.0) * th2 * second
+    return out
 
 
 def sample_gradhess_batch(seed: int, count: int, m: int):
@@ -217,17 +228,20 @@ def sample_gradhess_batch(seed: int, count: int, m: int):
 
     Gradients are rejected to |u| <= 0.99 (staying clear of the null cone),
     raw Hessian entries are uniform in [-5, 5], and the result is projected
-    a-trace-free.  Returns (us, hessians).
+    a-trace-free.  Returns (us, hessians).  The Hessians are drawn and
+    projected block by block: consecutive draws read the same stream as one
+    (count, m, m) draw, so every row is as if drawn at once.
     """
     rng = np.random.default_rng(seed)
     us = np.empty((count, m))
     filled = 0
     while filled < count:
         block = rng.uniform(-1.0, 1.0, size=(2 * (count - filled) + 16, m))
-        ok = block[np.sum(block * block, axis=1) <= 0.99**2]
+        ok = block[np.einsum("ni,ni->n", block, block) <= 0.99**2]
         take = min(ok.shape[0], count - filled)
         us[filled : filled + take] = ok[:take]
         filled += take
-    raw = rng.uniform(-5.0, 5.0, size=(count, m, m))
-    hs = project_a_tracefree_batch(us, raw)
+    hs = np.empty((count, m, m))
+    for u, h in row_blocks(us, hs):
+        h[...] = project_a_tracefree_batch(u, rng.uniform(-5.0, 5.0, size=h.shape))
     return us, hs

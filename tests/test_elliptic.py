@@ -14,6 +14,8 @@ from staticlab.elliptic import (
     newton_solve,
     residual,
 )
+from staticlab.geometry import schwarzschild_s_of_rho
+from staticlab.graphs import Anchor, constant_H, solve_radial_graph
 from staticlab.numerics import Grid, quad
 
 
@@ -112,6 +114,25 @@ class TestNewton:
         errs = [err(n) for n in (401, 801, 1601, 3201, 6401)]
         for coarse, fine in zip(errs, errs[1:]):
             assert coarse / fine >= 3.5
+
+    def test_matches_radial_graph_on_schwarzschild(self, schwarzschild_model):
+        # solve_radial_graph reaches the same equation through its first
+        # integral; on a warped model it is the oracle for the q = h
+        # coefficient.  C = 7e-3 is the n = 201 constant (6.67e-3) rounded up.
+        m, H0 = 3, 0.05
+        s0, s1 = schwarzschild_s_of_rho(1.0, m, 3.0), schwarzschild_s_of_rho(1.0, m, 12.0)
+        errs = []
+        for n in (201, 401, 801, 1601, 3201):
+            grid = Grid.uniform(s0, s1, n)
+            graph = solve_radial_graph(schwarzschild_model, constant_H(H0), Anchor.point(s0, 0.0, 0.0), grid)
+            op = MeshOperator.from_model(schwarzschild_model, grid)
+            rhs = m * H0 * schwarzschild_model.sample(grid.nodes).h
+            u = newton_solve(DirichletProblem(op, rhs, (graph.tau[0], graph.tau[-1])))
+            errs.append(float(np.max(np.abs(u.values - graph.tau))))
+            assert errs[-1] <= 7e-3 * float(grid.nodes[1] - grid.nodes[0]) ** 2
+            assert divergence_telescope(op, u, rhs) <= 1e-12
+        ratios = np.array(errs[:-1]) / np.array(errs[1:])
+        assert np.all((ratios >= 3.9) & (ratios <= 4.1)), ratios
 
     def test_returns_at_rounding_floor(self, euclid_annulus, monkeypatch):
         n = 3201

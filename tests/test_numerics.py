@@ -55,12 +55,6 @@ class TestGrid:
         with pytest.raises(ValueError):
             SampledFunction(g, np.zeros(7))
 
-    def test_sampled_function_interpolates(self):
-        g = Grid.uniform(0.0, 1.0, 11)
-        f = SampledFunction(g, g.nodes**2)
-        assert f(0.5) == pytest.approx(0.25, abs=1e-2)
-        assert f(g.nodes[3]) == pytest.approx(g.nodes[3] ** 2, abs=1e-15)
-
 
 def _chart_increments(nodes):
     """Integrals of the mu = 1e-3, m = 5 chart integrand between nodes, by QUADPACK."""

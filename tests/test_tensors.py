@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from staticlab import acceptance, tensors
 from staticlab.geometry import (
     RadialBase,
     StaticModel,
@@ -299,6 +301,58 @@ class TestPseudoJacobi:
         a_up = np.eye(4)[None] + th2[:, None, None] * np.einsum("ni,nj->nij", us, us)
         traces = np.einsum("nij,nij->n", a_up, hs)
         assert float(np.max(np.abs(traces))) <= 1e-12
+
+
+BLOCK = tensors.BLOCK_ROWS
+
+
+class TestBlocked:
+    """The batch kernels run BLOCK_ROWS rows at a time; no result depends on it."""
+
+    @staticmethod
+    def evaluate(n, m):
+        us = gradients_to_edge(800 + m, n, m)
+        raw = np.random.default_rng(900 + m).uniform(-5.0, 5.0, (n, m, m))
+        before = raw.copy()
+        hs = project_a_tracefree_batch(us, raw)
+        assert np.array_equal(raw, before)
+        xs = us[:, :2]
+        return (us, hs, sample_gradhess_batch(1000 + m, n, m)[1], pseudo_jacobi_gap_batch(us, hs, 1.0 / (m - 1)),
+                coercivity_gap_batch(xs, np.roll(xs, 1, axis=0)))
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_bitwise_equal_to_one_block(self, n, m, monkeypatch):
+        blocked = self.evaluate(n, m)
+        monkeypatch.setattr(tensors, "BLOCK_ROWS", n)
+        for got, want in zip(blocked, self.evaluate(n, m)):
+            assert np.array_equal(got, want)
+
+    def test_bad_row_in_last_block_raises(self):
+        n = 3 * BLOCK + 7
+        us, hs = sample_gradhess_batch(31, n, 3)
+        hs[-1] += 1e-6 * np.eye(3)
+        with pytest.raises(ValueError, match="a-trace-free"):
+            pseudo_jacobi_gap_batch(us, hs, 0.5)
+        us[-1] = [1.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match=r"\|u\| < 1"):
+            pseudo_jacobi_gap_batch(us, hs, 0.5)
+        with pytest.raises(ValueError, match=r"\|X\| < 1"):
+            coercivity_gap_batch(us, np.zeros_like(us))
+        with pytest.raises(ValueError, match=r"\|X\| < 1"):
+            coercivity_gap_batch(np.zeros_like(us), us)
+
+
+def test_criterion_9_memory_budget():
+    # 1.5e5 samples, but no temporary larger than a block besides the
+    # criterion's own inputs and outputs
+    tracemalloc.start()
+    try:
+        acceptance.run_criterion(9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 class TestNewtonGap:
