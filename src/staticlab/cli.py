@@ -4,11 +4,14 @@ Usage:
     staticlab run <config> [--out DIR] [--seed N] [--tol-scale X]
     staticlab suite <acceptance|quick> [--out DIR] [--seed N] [--tol-scale X]
 
-Configs are INI-style `key = value` files with [model] and [task] sections
-(a `kind = suite` config needs only [task]); numbers are binary64 decimal
-text.  `--seed` seeds the sampled criteria of a suite.  Exit codes: 0 when
-all requested checks pass (expected failures count as passes), 2 on check
-failure, 1 on usage or configuration errors.
+Configs are INI files with [model] and [task] sections (a `kind = suite`
+config needs only [task]); numbers are binary64 decimal text.  `KEYS`
+declares each key: its type, default and the kinds of model and task it
+applies to.  An unknown or inapplicable key or section, a missing required
+key or a bad value exits 1 with the key named.  `--seed` seeds the sampled
+criteria of a suite.  Exit codes: 0 when all requested checks pass
+(expected failures count as passes), 2 on check failure, 1 on usage or
+configuration errors.
 """
 
 from __future__ import annotations
@@ -16,8 +19,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import importlib.resources
+import math
 import os
 import sys
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -25,232 +31,269 @@ from . import barriers, elliptic, estimates, geometry, graphs
 from .numerics import Grid
 from .reporting import make_report, reports_to_text, svg_polyline, write_reports_csv
 
-TASK_KINDS = ("solve-graph", "barrier", "verify", "estimates", "growth", "angle-bound", "elliptic", "suite")
-
 
 class ConfigError(ValueError):
-    pass
+    """A config file that cannot be read or that `KEYS` rejects."""
+
+
+class Key(NamedTuple):
+    """One config key: `type` is "finite", "positive", "int>=N", "bool", "floats", "path" or a tuple
+    of choices.  Each key above it tags the run "name=value"; it applies where each set in `applies`
+    meets those tags, and is required there if its default is REQUIRED or `required` meets them."""
+
+    section: str
+    name: str
+    type: object
+    default: object
+    applies: tuple = ()
+    required: frozenset = frozenset()
+
+
+def _is(name: str, *values: str) -> frozenset:
+    return frozenset(f"{name}={value}" for value in values)
+
+
+REQUIRED = "required"
+_SUITES = ("acceptance", "quick")
+_GRAPH, _BARRIER = _is("kind", "solve-graph", "estimates", "angle-bound"), _is("kind", "barrier", "verify")
+_ELLIPTIC, _ESTIMATES, _ANGLE = _is("kind", "elliptic"), _is("kind", "estimates"), _is("kind", "angle-bound")
+_MODEL = _GRAPH | _ELLIPTIC | _BARRIER | _is("kind", "growth")
+_SCHW, _SCHW_BARRIER = _is("profile", "schwarzschild"), _is("barrier_kind", "schwarzschild")
+_SCHW_WARP, _PROD0 = _SCHW | _is("warp", "schwarzschild"), _is("barrier_kind", "prod0")
+_NEEDS = {"barrier_kind=schwarzschild": _SCHW}  # that barrier reads mu and m from [model]
+
+KEYS = (
+    Key("task", "kind", ("solve-graph", "barrier", "verify", "estimates", "growth", "angle-bound", "elliptic",
+                         "suite"), REQUIRED),
+    Key("task", "name", _SUITES, "quick", (_is("kind", "suite"),)),
+    Key("model", "profile", ("euclidean", "hyperbolic", "schwarzschild", "custom"), REQUIRED, (_MODEL,)),
+    Key("model", "warp", ("one", "constant", "schwarzschild"), "one", (_MODEL,)),
+    Key("task", "barrier_kind", ("prod0", "schwarzschild"), "prod0", (_BARRIER,)),
+    Key("task", "anchor", ("pole", "point"), "pole", (_GRAPH,)),
+    Key("task", "t0_mode", ("explicit", "tau-at-anchor"), "explicit", (_ANGLE,)),
+    Key("task", "expect", ("pass", "fail"), "pass", (_MODEL,)),
+    Key("model", "m", "int>=2", 2, (_MODEL,), _SCHW_WARP),
+    Key("model", "s_min", "finite", 0.0, (_MODEL,)),
+    Key("model", "s_max", "finite", 20.0, (_MODEL,)),
+    Key("model", "B", "positive", 1.0, (_is("profile", "hyperbolic"),)),
+    Key("model", "mu", "positive", 1.0, (_SCHW_WARP,)),
+    Key("model", "rho_min", "finite", None, (_SCHW,)),
+    Key("model", "rho_max", "finite", None, (_SCHW,)),
+    Key("model", "profile_csv", "path", REQUIRED, (_is("profile", "custom"),)),
+    Key("model", "warp_value", "positive", 1.0, (_is("warp", "constant"),)),
+    Key("task", "grid_a", "finite", None, (_GRAPH | _ELLIPTIC,)),
+    Key("task", "grid_b", "finite", None, (_GRAPH | _ELLIPTIC,)),
+    Key("task", "grid_n", "int>=9", 1601, (_GRAPH | _ELLIPTIC,)),
+    Key("task", "grid_rho_a", "finite", None, (_GRAPH | _ELLIPTIC, _SCHW)),
+    Key("task", "grid_rho_b", "finite", None, (_GRAPH | _ELLIPTIC, _SCHW)),
+    Key("task", "maximal", "bool", False, (_GRAPH,)),
+    Key("task", "H0", "finite", 0.0, (_GRAPH | _SCHW_BARRIER,), _SCHW_BARRIER),
+    Key("task", "tau0", "finite", 0.0, (_GRAPH,)),
+    Key("task", "s0", "finite", None, (_is("anchor", "point"),)),
+    Key("task", "F0", "finite", 0.0, (_is("anchor", "point"),)),
+    Key("task", "plot", "bool", False, (_is("kind", "solve-graph", "estimates"),)),
+    Key("task", "radii", "floats", (2.0, 5.0, 10.0), (_ESTIMATES,)),
+    Key("task", "bg_G0", "finite", 1.0, (_ESTIMATES,)),
+    Key("task", "cheeger_rmax", "finite", 20.0, (_ESTIMATES,)),
+    Key("task", "lambda1_rtrunc", "finite", 15.0, (_ESTIMATES,)),
+    Key("task", "lambda1_n", "int>=1", 1500, (_ESTIMATES,)),
+    Key("task", "r_max", "finite", 100.0, (_is("kind", "growth"),)),
+    Key("task", "t0", "finite", 0.0, (_is("t0_mode", "explicit"),)),
+    Key("task", "G", "finite", 1.0, (_ANGLE,)),
+    Key("task", "rhs", "finite", 0.0, (_ELLIPTIC,)),
+    Key("task", "bc_left", "finite", 0.0, (_ELLIPTIC,)),
+    Key("task", "bc_right", "finite", 0.0, (_ELLIPTIC,)),
+    Key("task", "n", "int>=1", 4000, (_BARRIER,)),
+    Key("task", "G0", "finite", 1.0, (_PROD0,)),
+    Key("task", "A0", "finite", 1.0, (_PROD0,)),
+    Key("task", "anchor_radius", "finite", REQUIRED, (_PROD0,)),
+    Key("task", "control_radius", "finite", REQUIRED, (_PROD0,)),
+    Key("task", "eps", "finite", 0.5, (_PROD0,)),
+    Key("task", "s_max", "finite", 30.0, (_PROD0,)),
+    Key("task", "rho1", "finite", REQUIRED, (_SCHW_BARRIER,)),
+    Key("task", "rho2", "finite", REQUIRED, (_SCHW_BARRIER,)),
+    Key("task", "beta", "finite", 0.1, (_SCHW_BARRIER,)),
+    Key("task", "rho_max", "finite", 40.0, (_SCHW_BARRIER,)),
+)
+_SECTIONS = {sec: [k.name.lower() for k in KEYS if k.section == sec] for sec in ("model", "task")}
 
 
 def bundled_scenario(name: str) -> str:
     """Path of a bundled scenario config by bare name."""
-    ref = importlib.resources.files("staticlab") / "scenarios" / f"{name}.cfg"
-    return str(ref)
+    return str(importlib.resources.files("staticlab") / "scenarios" / f"{name}.cfg")
 
 
-def _load_config(path: str) -> configparser.ConfigParser:
+def _parse(spec, text: str):
+    """The value `text` gives a key of type `spec`; ValueError if it gives none."""
+    if isinstance(spec, tuple) and text not in spec or spec == "path" and not os.path.exists(text):
+        raise ValueError("file not found" if spec == "path" else f"not one of {', '.join(spec)}")
+    if isinstance(spec, tuple) or spec == "path":
+        return text
+    if spec == "bool":
+        if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ValueError("not a boolean")
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    if spec.startswith("int>="):
+        if int(text) < int(spec[5:]):
+            raise ValueError(f"not an integer >= {spec[5:]}")
+        return int(text)
+    values = tuple(float(x) for x in text.split()) if spec == "floats" else (float(text),)
+    if not values or not all(map(math.isfinite, values)) or spec == "positive" and values[0] <= 0:
+        raise ValueError("not a list of finite numbers" if spec == "floats" else f"not a {spec} number")
+    return values if spec == "floats" else values[0]
+
+
+def load_config(path: str) -> Mapping[str, Mapping[str, object]]:
+    """Check an INI scenario file (a bundled one by bare name) against `KEYS`.  The frozen resolved
+    config maps section -> key -> value or default, None where unset without one or inapplicable."""
+    bundled = bundled_scenario(os.path.basename(path).removesuffix(".cfg"))
+    path = bundled if not os.path.exists(path) and os.path.exists(bundled) else path
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    if not os.path.exists(path):
-        base = os.path.basename(path)
-        name = base[:-4] if base.endswith(".cfg") else base
-        alt = bundled_scenario(name)
-        if os.path.exists(alt):
-            path = alt
-        else:
-            raise ConfigError(f"config file not found: {path}")
     try:
         with open(path) as fh:
             cp.read_file(fh, source=path)
+        given = {(sec, key): text for sec in cp.sections() for key, text in cp.items(sec)}
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: {exc.strerror}") from exc
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
-    if not cp.has_section("task"):
-        raise ConfigError(f"{path}: missing required [task] section")
-    if not cp.has_section("model") and cp.get("task", "kind", fallback="") != "suite":
-        raise ConfigError(f"{path}: missing required [model] section")
-    return cp
+    unknown = [(f"section [{sec}]", sec, _SECTIONS) for sec in cp.sections() if sec not in _SECTIONS]
+    unknown += [(f"key [{sec}] {key}", key, _SECTIONS[sec]) for sec, key in given
+                if sec in _SECTIONS and key not in _SECTIONS[sec]]
+    if unknown:
+        import difflib  # only on this error path
+        what, name, known = unknown[0]
+        close = difflib.get_close_matches(name, known, n=1)
+        raise ConfigError(f"unknown {what}" + (f"; did you mean {close[0]}?" if close else ""))
+    tags, resolved = set(), {"model": {}, "task": {}}
+    for k in KEYS:
+        text, where = given.get((k.section, k.name.lower())), f"[{k.section}] {k.name}"
+        unmet = [group for group in k.applies if tags.isdisjoint(group)]
+        if unmet and text is not None:
+            raise ConfigError(f"{where} does not apply: it needs {' and '.join(map(' or '.join, map(sorted, unmet)))}")
+        if not unmet and text is None and (k.default is REQUIRED or k.required & tags):
+            raise ConfigError(f"{where} is required ({', '.join(sorted(k.required & tags)) or 'no default'})")
+        try:
+            value = None if unmet else k.default if text is None else _parse(k.type, text)
+        except ValueError as exc:
+            raise ConfigError(f"{where} = {text}: {exc}") from exc
+        tags.add(tag := f"{k.name}={value}")
+        if tag in _NEEDS and not _NEEDS[tag] & tags:
+            raise ConfigError(f"{where} = {value} needs {' or '.join(sorted(_NEEDS[tag]))}")
+        resolved[k.section][k.name] = value
+    return MappingProxyType({sec: MappingProxyType(values) for sec, values in resolved.items()})
 
 
-def _getfloat(cp, section, key, default=None):
-    try:
-        if default is None:
-            return cp.getfloat(section, key)
-        return cp.getfloat(section, key, fallback=default)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not a number ({exc})") from exc
-
-
-def _getint(cp, section, key, default=None):
-    try:
-        if default is None:
-            return cp.getint(section, key)
-        return cp.getint(section, key, fallback=default)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not an integer ({exc})") from exc
-
-
-def _build_model(cp) -> geometry.StaticModel:
-    profile_kind = cp.get("model", "profile", fallback=None)
-    if profile_kind is None:
-        raise ConfigError("[model] profile is required")
-    m = _getint(cp, "model", "m", 2)
-    s_min = _getfloat(cp, "model", "s_min", 0.0)
-    s_max = _getfloat(cp, "model", "s_max", 20.0)
-    if profile_kind == "euclidean":
+def _build_model(cfg) -> geometry.StaticModel:
+    md = cfg["model"]
+    m, s_min, s_max = md["m"], md["s_min"], md["s_max"]
+    if md["profile"] == "euclidean":
         prof = geometry.euclidean_profile()
-    elif profile_kind == "hyperbolic":
-        prof = geometry.hyperbolic_profile(_getfloat(cp, "model", "B", 1.0))
-    elif profile_kind == "schwarzschild":
-        mu = _getfloat(cp, "model", "mu", 1.0)
-        prof = geometry.schwarzschild_profile(mu, m)
-        if cp.has_option("model", "rho_min"):
-            s_min = geometry.schwarzschild_s_of_rho(mu, m, _getfloat(cp, "model", "rho_min"))
-        if cp.has_option("model", "rho_max"):
-            s_max = geometry.schwarzschild_s_of_rho(mu, m, _getfloat(cp, "model", "rho_max"))
+    elif md["profile"] == "hyperbolic":
+        prof = geometry.hyperbolic_profile(md["B"])
+    elif md["profile"] == "schwarzschild":
+        prof = geometry.schwarzschild_profile(md["mu"], m)
+        if md["rho_min"] is not None:
+            s_min = geometry.schwarzschild_s_of_rho(md["mu"], m, md["rho_min"])
+        if md["rho_max"] is not None:
+            s_max = geometry.schwarzschild_s_of_rho(md["mu"], m, md["rho_max"])
         s_min = max(s_min, 1e-6)
-    elif profile_kind == "custom":
-        csv_path = cp.get("model", "profile_csv", fallback=None)
-        if csv_path is None or not os.path.exists(csv_path):
-            raise ConfigError("[model] profile_csv: file not found")
-        prof = geometry.custom_profile_from_csv(csv_path)
     else:
-        raise ConfigError(f"[model] profile: unknown kind {profile_kind!r}")
-
-    warp_kind = cp.get("model", "warp", fallback="one")
-    if warp_kind == "one":
-        warp = geometry.constant_warp(1.0)
-    elif warp_kind == "constant":
-        warp = geometry.constant_warp(_getfloat(cp, "model", "warp_value", 1.0))
-    elif warp_kind == "schwarzschild":
-        warp = geometry.schwarzschild_warp(_getfloat(cp, "model", "mu", 1.0), m)
-    else:
-        raise ConfigError(f"[model] warp: unknown kind {warp_kind!r}")
-    base = geometry.RadialBase(m, prof, (s_min, s_max))
-    return geometry.StaticModel(base, warp)
+        prof = geometry.custom_profile_from_csv(md["profile_csv"])
+    warp = (geometry.schwarzschild_warp(md["mu"], m) if md["warp"] == "schwarzschild"
+            else geometry.constant_warp(1.0 if md["warp"] == "one" else md["warp_value"]))
+    return geometry.StaticModel(geometry.RadialBase(m, prof, (s_min, s_max)), warp)
 
 
-def _build_grid(cp, model) -> Grid:
-    a = _getfloat(cp, "task", "grid_a", model.base.s_domain[0])
-    b = _getfloat(cp, "task", "grid_b", model.base.s_domain[1])
-    n = _getint(cp, "task", "grid_n", 1601)
-    if cp.has_option("task", "grid_rho_a"):
-        mu = _getfloat(cp, "model", "mu", 1.0)
-        a = geometry.schwarzschild_s_of_rho(mu, model.m, _getfloat(cp, "task", "grid_rho_a"))
-    if cp.has_option("task", "grid_rho_b"):
-        mu = _getfloat(cp, "model", "mu", 1.0)
-        b = geometry.schwarzschild_s_of_rho(mu, model.m, _getfloat(cp, "task", "grid_rho_b"))
-    return Grid.uniform(a, b, n)
+def _build_grid(cfg, model) -> Grid:
+    t, (a, b) = cfg["task"], model.base.s_domain
+    a, b = (a if t["grid_a"] is None else t["grid_a"]), (b if t["grid_b"] is None else t["grid_b"])
+    if t["grid_rho_a"] is not None:
+        a = geometry.schwarzschild_s_of_rho(cfg["model"]["mu"], model.m, t["grid_rho_a"])
+    if t["grid_rho_b"] is not None:
+        b = geometry.schwarzschild_s_of_rho(cfg["model"]["mu"], model.m, t["grid_rho_b"])
+    return Grid.uniform(a, b, t["grid_n"])
 
 
-def _build_spec(cp) -> graphs.MeanCurvSpec:
-    if cp.getboolean("task", "maximal", fallback=False):
-        return graphs.zero_H()
-    return graphs.constant_H(_getfloat(cp, "task", "H0", 0.0))
-
-
-def _build_anchor(cp, grid) -> graphs.Anchor:
-    kind = cp.get("task", "anchor", fallback="pole")
-    tau0 = _getfloat(cp, "task", "tau0", 0.0)
-    if kind == "pole":
-        return graphs.Anchor.pole(tau0)
-    s0 = _getfloat(cp, "task", "s0", float(grid.a))
-    return graphs.Anchor.point(s0, tau0, _getfloat(cp, "task", "F0", 0.0))
-
-
-def _solve_graph_from(cp, model):
-    grid = _build_grid(cp, model)
-    spec = _build_spec(cp)
-    anchor = _build_anchor(cp, grid)
-    return graphs.solve_radial_graph(model, spec, anchor, grid), spec
-
-
-def _task_solve_graph(cp, model, outdir, tol_scale):
-    g, _spec = _solve_graph_from(cp, model)
+def _solve_graph(cfg, model, outdir):
+    """The graph of a graph task, written to graph.csv, and its mean curvature."""
+    t, grid = cfg["task"], _build_grid(cfg, model)
+    spec = graphs.zero_H() if t["maximal"] else graphs.constant_H(t["H0"])
+    s0 = float(grid.a) if t["s0"] is None else t["s0"]
+    anchor = graphs.Anchor.pole(t["tau0"]) if t["anchor"] == "pole" else graphs.Anchor.point(s0, t["tau0"], t["F0"])
+    g = graphs.solve_radial_graph(model, spec, anchor, grid)
     graphs.export_graph_csv(g, os.path.join(outdir, "graph.csv"))
-    reports = [graphs.gauge_consistency_check(g, tol=1e-6 * tol_scale)]
-    if cp.getboolean("task", "plot", fallback=False):
+    return g, spec
+
+
+def _task_solve_graph(cfg, model, outdir, tol_scale):
+    g, _spec = _solve_graph(cfg, model, outdir)
+    if cfg["task"]["plot"]:
         svg_polyline(g.grid.nodes, g.cosh_theta, os.path.join(outdir, "cosh_theta.svg"),
                      title="cosh theta profile")
         svg_polyline(g.grid.nodes, g.tau, os.path.join(outdir, "tau.svg"), title="height profile")
-    return reports
+    return [graphs.gauge_consistency_check(g, tol=1e-6 * tol_scale)]
 
 
-def _build_barrier(cp):
-    kind = cp.get("task", "barrier_kind", fallback="prod0")
-    n = _getint(cp, "task", "n", 4000)
-    if kind == "prod0":
-        cmpm = barriers.ComparisonModel(_getfloat(cp, "task", "G0", 1.0))
-        a0 = _getfloat(cp, "task", "A0", 1.0)
-        return barriers.build_barrier_prod0(
-            _getint(cp, "model", "m", 2), cmpm,
-            R=_getfloat(cp, "task", "anchor_radius"),
-            r=_getfloat(cp, "task", "control_radius"),
-            eps=_getfloat(cp, "task", "eps", 0.5),
-            A=lambda s, a0=a0: np.full_like(np.asarray(s, dtype=float), a0),
-            s_max=_getfloat(cp, "task", "s_max", 30.0), n=n,
-        )
-    if kind == "schwarzschild":
-        return barriers.build_barrier_schwarzschild(
-            _getfloat(cp, "model", "mu", 1.0), _getint(cp, "model", "m", 3),
-            rho1=_getfloat(cp, "task", "rho1"), rho2=_getfloat(cp, "task", "rho2"),
-            beta=_getfloat(cp, "task", "beta", 0.1), H0=_getfloat(cp, "task", "H0", 0.2),
-            rho_max=_getfloat(cp, "task", "rho_max", 40.0), n=n,
-        )
-    raise ConfigError(f"[task] barrier_kind: unknown kind {kind!r}")
-
-
-def _task_barrier(cp, model, outdir, tol_scale, verify: bool):
-    b = _build_barrier(cp)
+def _task_barrier(cfg, model, outdir, tol_scale):
+    t, m = cfg["task"], cfg["model"]["m"]
+    if t["barrier_kind"] == "schwarzschild":
+        b = barriers.build_barrier_schwarzschild(cfg["model"]["mu"], m, rho1=t["rho1"], rho2=t["rho2"],
+                                                 beta=t["beta"], H0=t["H0"], rho_max=t["rho_max"], n=t["n"])
+    else:
+        b = barriers.build_barrier_prod0(
+            m, barriers.ComparisonModel(t["G0"]), R=t["anchor_radius"], r=t["control_radius"], eps=t["eps"],
+            A=lambda s, a0=t["A0"]: np.full_like(np.asarray(s, dtype=float), a0), s_max=t["s_max"], n=t["n"])
     barriers.export_barrier_csv(b, os.path.join(outdir, "barrier.csv"))
-    if not verify:
-        notes = tuple(b.warnings)
-        return [make_report("barrier-constructed", lhs=b.C, rhs=1.0, margin=1.0 - b.C, tol=0.0,
-                            grid_meta=f"kind={b.kind} beta1={b.beta1!r}", notes=notes)]
-    return barriers.verify_barrier(b, tol_scale=tol_scale)
+    if t["kind"] == "verify":
+        return barriers.verify_barrier(b, tol_scale=tol_scale)
+    return [make_report("barrier-constructed", lhs=b.C, rhs=1.0, margin=1.0 - b.C, tol=0.0,
+                        grid_meta=f"kind={b.kind} beta1={b.beta1!r}", notes=tuple(b.warnings))]
 
 
-def _task_estimates(cp, model, outdir, tol_scale):
-    g, spec = _solve_graph_from(cp, model)
-    graphs.export_graph_csv(g, os.path.join(outdir, "graph.csv"))
-    radii = [float(x) for x in cp.get("task", "radii", fallback="2.0 5.0 10.0").split()]
-    reports = [graphs.gauge_consistency_check(g, tol=1e-6 * tol_scale)]
-    reports.append(estimates.flux_identity_check(g, spec, 0.0, radii[0], tol=1e-8 * tol_scale))
-    reports.append(estimates.salavessa_check(g, spec, radii, tol=1e-9 * tol_scale))
-    reports.append(estimates.cosh_lower_estimate_check(g, spec, radii[0], radii[-1], tol=1e-8 * tol_scale))
-    reports.append(estimates.log_volume_identity_check(model, radii[0], radii[-1], tol=1e-7 * tol_scale))
-    cmpm = barriers.ComparisonModel(_getfloat(cp, "task", "bg_G0", 1.0))
-    reports.append(estimates.bishop_gromov_check(model, cmpm, np.linspace(radii[0], radii[-1], 10),
-                                                 tol=1e-9 * tol_scale))
-    prof = estimates.cheeger_profile(model, _getfloat(cp, "task", "cheeger_rmax", 20.0))
-    lam = estimates.lambda1_estimate(model, _getfloat(cp, "task", "lambda1_rtrunc", 15.0),
-                                     _getint(cp, "task", "lambda1_n", 1500))
-    reports.append(make_report(
-        "cheeger-spectral-inequality", lhs=0.25 * prof.c_hat**2, rhs=lam,
-        margin=lam - 0.25 * prof.c_hat**2, tol=0.03 * tol_scale,
-        grid_meta=f"c_hat={prof.c_hat!r} lambda1={lam!r}",
-        notes=(prof.assumption,),
-    ))
-    if cp.getboolean("task", "plot", fallback=False):
+def _task_estimates(cfg, model, outdir, tol_scale):
+    t = cfg["task"]
+    g, spec = _solve_graph(cfg, model, outdir)
+    r0, r1 = t["radii"][0], t["radii"][-1]
+    reports = [
+        graphs.gauge_consistency_check(g, tol=1e-6 * tol_scale),
+        estimates.flux_identity_check(g, spec, 0.0, r0, tol=1e-8 * tol_scale),
+        estimates.salavessa_check(g, spec, list(t["radii"]), tol=1e-9 * tol_scale),
+        estimates.cosh_lower_estimate_check(g, spec, r0, r1, tol=1e-8 * tol_scale),
+        estimates.log_volume_identity_check(model, r0, r1, tol=1e-7 * tol_scale),
+        estimates.bishop_gromov_check(model, barriers.ComparisonModel(t["bg_G0"]), np.linspace(r0, r1, 10),
+                                      tol=1e-9 * tol_scale),
+    ]
+    prof = estimates.cheeger_profile(model, t["cheeger_rmax"])
+    lam = estimates.lambda1_estimate(model, t["lambda1_rtrunc"], t["lambda1_n"])
+    reports.append(make_report("cheeger-spectral-inequality", lhs=0.25 * prof.c_hat**2, rhs=lam,
+                               margin=lam - 0.25 * prof.c_hat**2, tol=0.03 * tol_scale,
+                               grid_meta=f"c_hat={prof.c_hat!r} lambda1={lam!r}", notes=(prof.assumption,)))
+    if t["plot"]:
         svg_polyline(prof.radii, prof.ratios, os.path.join(outdir, "cheeger_ratio.svg"),
                      title="weighted boundary/volume ratio")
     return reports
 
 
-def _task_growth(cp, model, outdir, tol_scale):
-    r_max = _getfloat(cp, "task", "r_max", 100.0)
-    gd = estimates.growth_diagnostics(model, r_max)
+def _task_growth(cfg, model, outdir, tol_scale):
+    r_max = cfg["task"]["r_max"]
     return [make_report(name, lhs=value, rhs=float("inf"), margin=0.0, tol=0.0, grid_meta=f"r_max={r_max!r}",
                         notes=(f"trend: {trend}",))
-            for name, value, trend in gd.rows()]
+            for name, value, trend in estimates.growth_diagnostics(model, r_max).rows()]
 
 
-def _task_angle_bound(cp, model, outdir, tol_scale):
-    g, _spec = _solve_graph_from(cp, model)
-    graphs.export_graph_csv(g, os.path.join(outdir, "graph.csv"))
-    if cp.get("task", "t0_mode", fallback="explicit") == "tau-at-anchor":
-        t0 = float(g.tau[0])
-    else:
-        t0 = _getfloat(cp, "task", "t0", 0.0)
-    return [estimates.angle_bound_check(g, G=_getfloat(cp, "task", "G", 1.0), t0=t0,
-                                        tol=1e-9 * tol_scale)]
+def _task_angle_bound(cfg, model, outdir, tol_scale):
+    g, _spec = _solve_graph(cfg, model, outdir)
+    t0 = float(g.tau[0]) if cfg["task"]["t0_mode"] == "tau-at-anchor" else cfg["task"]["t0"]
+    return [estimates.angle_bound_check(g, G=cfg["task"]["G"], t0=t0, tol=1e-9 * tol_scale)]
 
 
-def _task_elliptic(cp, model, outdir, tol_scale):
-    grid = _build_grid(cp, model)
+def _task_elliptic(cfg, model, outdir, tol_scale):
+    t, grid = cfg["task"], _build_grid(cfg, model)
     op = elliptic.MeshOperator.from_model(model, grid)
-    rhs = np.full(len(grid), _getfloat(cp, "task", "rhs", 0.0))
-    bc = (_getfloat(cp, "task", "bc_left", 0.0), _getfloat(cp, "task", "bc_right", 0.0))
-    problem = elliptic.DirichletProblem(op, rhs, bc)
-    u = elliptic.newton_solve(problem, tol=1e-9 * tol_scale)
+    rhs = np.full(len(grid), t["rhs"])
+    u = elliptic.newton_solve(elliptic.DirichletProblem(op, rhs, (t["bc_left"], t["bc_right"])),
+                              tol=1e-9 * tol_scale)
     elliptic.export_solution_csv(op, u, rhs, os.path.join(outdir, "solution.csv"))
     res = float(np.max(np.abs(elliptic.residual(op, u, rhs))))
     tele = elliptic.divergence_telescope(op, u, rhs)
@@ -261,49 +304,26 @@ def _task_elliptic(cp, model, outdir, tol_scale):
     ]
 
 
+_TASKS = {"solve-graph": _task_solve_graph, "barrier": _task_barrier, "verify": _task_barrier,
+          "estimates": _task_estimates, "growth": _task_growth, "angle-bound": _task_angle_bound,
+          "elliptic": _task_elliptic}
+
+
 def _run_scenario(config_path: str, outdir: str, seed: int, tol_scale: float) -> int:
-    cp = _load_config(config_path)
-    kind = cp.get("task", "kind", fallback=None)
-    if kind not in TASK_KINDS:
-        raise ConfigError(f"[task] kind must be one of {TASK_KINDS}, got {kind!r}")
-    if kind == "suite":
-        return _run_suite(cp.get("task", "name", fallback="quick"), outdir, seed, tol_scale)
-
-    name = os.path.splitext(os.path.basename(config_path))[0]
-    scenario_out = os.path.join(outdir, name)
+    cfg = load_config(config_path)
+    if cfg["task"]["kind"] == "suite":
+        return _run_suite(cfg["task"]["name"], outdir, seed, tol_scale)
+    scenario_out = os.path.join(outdir, os.path.splitext(os.path.basename(config_path))[0])
     os.makedirs(scenario_out, exist_ok=True)
-    model = _build_model(cp)
-
-    if kind == "solve-graph":
-        reports = _task_solve_graph(cp, model, scenario_out, tol_scale)
-    elif kind == "barrier":
-        reports = _task_barrier(cp, model, scenario_out, tol_scale, verify=False)
-    elif kind == "verify":
-        reports = _task_barrier(cp, model, scenario_out, tol_scale, verify=True)
-    elif kind == "estimates":
-        reports = _task_estimates(cp, model, scenario_out, tol_scale)
-    elif kind == "growth":
-        reports = _task_growth(cp, model, scenario_out, tol_scale)
-    elif kind == "angle-bound":
-        reports = _task_angle_bound(cp, model, scenario_out, tol_scale)
-    elif kind == "elliptic":
-        reports = _task_elliptic(cp, model, scenario_out, tol_scale)
-    else:  # pragma: no cover
-        raise ConfigError(f"unhandled task kind {kind!r}")
-
+    reports = _TASKS[cfg["task"]["kind"]](cfg, _build_model(cfg), scenario_out, tol_scale)
     write_reports_csv(reports, os.path.join(scenario_out, "reports.csv"))
     text = reports_to_text(reports)
     failures = [r for r in reports if not r.verdict]
-    expect = cp.get("task", "expect", fallback="pass")
-    if expect == "fail":
-        if failures:
-            text += f"\n{len(failures)} check(s) failed as designed: EXPECTED-FAIL\n"
-            status = 0
-        else:
-            text += "\nexpected a failure but every check passed: UNEXPECTED-PASS\n"
-            status = 2
-    else:
-        status = 2 if failures else 0
+    status = 2 if failures else 0
+    if cfg["task"]["expect"] == "fail":
+        status = 0 if failures else 2
+        text += (f"\n{len(failures)} check(s) failed as designed: EXPECTED-FAIL\n" if failures
+                 else "\nexpected a failure but every check passed: UNEXPECTED-PASS\n")
     with open(os.path.join(scenario_out, "summary.txt"), "w", newline="\n") as fh:
         fh.write(text)
     sys.stdout.write(text)
@@ -312,40 +332,26 @@ def _run_scenario(config_path: str, outdir: str, seed: int, tol_scale: float) ->
 
 def _run_suite(name: str, outdir: str, seed: int, tol_scale: float) -> int:
     from . import acceptance
-
-    if name == "acceptance":
-        results = acceptance.run_acceptance(seed=seed, tol_scale=tol_scale)
-    elif name == "quick":
-        results = acceptance.run_quick(seed=seed, tol_scale=tol_scale)
-    else:
-        sys.stderr.write(f"unknown suite name {name!r} (use acceptance or quick)\n")
-        return 1
+    run = acceptance.run_acceptance if name == "acceptance" else acceptance.run_quick
+    results = run(seed=seed, tol_scale=tol_scale)
     os.makedirs(outdir, exist_ok=True)
-    lines = []
-    for res in results:
-        lines.append(res.line())
-        for d in res.details:
-            lines.append(f"    {d}")
-    summary = "\n".join(lines) + "\n"
+    summary = "".join(res.line() + "\n" + "".join(f"    {d}\n" for d in res.details) for res in results)
     sys.stdout.write(summary)
-    csv_lines = ["criterion,name,verdict"]
-    for res in results:
-        csv_lines.append(f"{res.number},{res.name},{'pass' if res.passed else 'fail'}")
-    with open(os.path.join(outdir, f"suite_{name}_summary.csv"), "w", newline="\n") as fh:
-        fh.write("\n".join(csv_lines) + "\n")
-    with open(os.path.join(outdir, f"suite_{name}_summary.txt"), "w", newline="\n") as fh:
-        fh.write(summary)
+    rows = "".join(f"{res.number},{res.name},{'pass' if res.passed else 'fail'}\n" for res in results)
+    for suffix, text in (("csv", "criterion,name,verdict\n" + rows), ("txt", summary)):
+        with open(os.path.join(outdir, f"suite_{name}_summary.{suffix}"), "w", newline="\n") as fh:
+            fh.write(text)
     return 0 if all(r.passed for r in results) else 2
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="staticlab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run a scenario config")
     p_run.add_argument("config")
     p_suite = sub.add_parser("suite", help="run a bundled suite")
-    p_suite.add_argument("name")
+    p_suite.add_argument("name", choices=_SUITES)
     for p in (p_run, p_suite):
         p.add_argument("--out", default="out")
         p.add_argument("--seed", type=int, default=42)
@@ -354,18 +360,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    if args.command is None:
-        parser.print_help()
-        return 1
     try:
         if args.command == "run":
             return _run_scenario(args.config, args.out, args.seed, args.tol_scale)
         return _run_suite(args.name, args.out, args.seed, args.tol_scale)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 1
     except (ValueError, RuntimeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.write(f"{'config error' if isinstance(exc, ConfigError) else 'error'}: {exc}\n")
         return 1
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "sphere_area",
     "WeightedVolumeTable",
     "weighted_volumes",
-    "weighted_volume_annulus",
     "mean_H_average",
     "flux_identity_check",
     "log_volume_identity_check",
@@ -117,8 +116,7 @@ class WeightedVolumeTable:
 def weighted_volumes(model: StaticModel, r_list) -> WeightedVolumeTable:
     """vol(B_r) and vol(partial B_r) with weight h; balls need a pole."""
     if not model.base.pole_anchored:
-        raise ValueError("ball volumes need a pole-anchored model (annulus given); "
-                         "use weighted_volume_annulus instead")
+        raise ValueError("ball volumes need a pole-anchored model (annulus given)")
     radii = np.asarray(r_list, dtype=float)
     model.base.check_domain(radii)
     vc = _volumes(model)
@@ -127,19 +125,6 @@ def weighted_volumes(model: StaticModel, r_list) -> WeightedVolumeTable:
         vol=np.asarray(vc.vol(radii), dtype=float),
         bvol=np.asarray(vc.bvol(radii), dtype=float),
         omega=vc.omega,
-    )
-
-
-def weighted_volume_annulus(model: StaticModel, s0: float, s1: float) -> tuple[float, float, float]:
-    """(annulus volume, inner boundary volume, outer boundary volume)."""
-    if not s0 < s1:
-        raise ValueError("need s0 < s1")
-    model.base.check_domain((s0, s1))
-    vc = _volumes(model)
-    return (
-        float(vc.vol(s1) - vc.vol(s0)),
-        float(vc.bvol(s0)),
-        float(vc.bvol(s1)),
     )
 
 

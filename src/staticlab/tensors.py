@@ -172,7 +172,7 @@ def project_a_tracefree_batch(us: np.ndarray, hs: np.ndarray) -> np.ndarray:
     constraint exactly (up to roundoff).  a_up is a rank-one update of id, so
     with v = h u the traces are tr_a h = tr h + Theta^2 u.v and
     tr_a id = m + Theta^2 |u|^2; no m x m matrix besides h is formed.
-    Returns a new array; ``hs`` is left unmodified.
+    Returns a new array; ``hs`` is left unmodified.  A row with |u| >= 1 raises.
     """
     m = us.shape[1]
     diag = np.arange(m)
@@ -180,6 +180,8 @@ def project_a_tracefree_batch(us: np.ndarray, hs: np.ndarray) -> np.ndarray:
     for u, raw, h in row_blocks(us, hs, out):
         h[...] = 0.5 * (raw + np.swapaxes(raw, 1, 2))
         nu = np.einsum("ni,ni->n", u, u)
+        if np.any(nu >= 1.0):
+            raise ValueError("project_a_tracefree needs |u| < 1")
         th2 = 1.0 / (1.0 - nu)
         v = np.einsum("nij,nj->ni", h, u)
         tr_a = np.einsum("nii->n", h) + th2 * np.einsum("ni,ni->n", u, v)

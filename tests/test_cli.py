@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -126,3 +128,135 @@ def test_plot_emits_svg(tmp_path):
     assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "plotted" / "cosh_theta.svg").exists()
     assert (tmp_path / "plotted" / "tau.svg").exists()
+
+
+def _write(tmp_path, text, name="case"):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text)
+    return str(cfg)
+
+
+HYPERBOLIC = "[model]\nprofile = hyperbolic\nB = 1.0\nwarp = one\ns_min = 0.0\ns_max = 10.0\n"
+GRAPH_TASK = ("\n[task]\nkind = solve-graph\nH0 = 0.5\nanchor = point\nF0 = 0.0\n"
+              "grid_a = 1.0\ngrid_b = 5.0\ngrid_n = 401\n")
+SCHWARZSCHILD_VERIFY = "\n[task]\nkind = verify\nbarrier_kind = schwarzschild\nrho1 = 3.0\nrho2 = 6.0\nH0 = 0.2\n"
+
+
+def _bundled_text(name, old="", new=""):
+    with open(cli.bundled_scenario(name)) as fh:
+        text = fh.read()
+    assert old in text
+    return text.replace(old, new)
+
+
+# case: (config text, the key the error names, a hint it gives); the comment says what the same
+# config did before the key table
+CONFIG_DEFECTS = {
+    # exit 0 at the default s_max = 20
+    "typo-in-model": (HYPERBOLIC.replace("s_max = 10.0", "smax = 3") + GRAPH_TASK, "[model] smax", "s_max"),
+    # ran at the default grid_n = 1601
+    "typo-in-task": (HYPERBOLIC + GRAPH_TASK.replace("grid_n = 401", "grid_nn = 24"), "[task] grid_nn", "grid_n"),
+    # exit 1 from the solver: "flux integral blew up at s = 1.01"
+    "non-finite": (HYPERBOLIC.replace("B = 1.0", "B = nan") + GRAPH_TASK, "[model] B", "positive"),
+    # exit 0 on a grid from the mu = 1 Schwarzschild chart: s = 3.049
+    "rho-on-hyperbolic": (HYPERBOLIC + "m = 3\n" + GRAPH_TASK.replace("grid_a = 1.0", "grid_rho_a = 3"),
+                          "[task] grid_rho_a", "profile=schwarzschild"),
+    # exit 0 as a point anchor
+    "unknown-anchor": (HYPERBOLIC + GRAPH_TASK.replace("anchor = point", "anchor = pint"),
+                       "[task] anchor", "pole, point"),
+    # exit 2: the designed failure counted as a real one
+    "unknown-expect": (_bundled_text("annulus_negative_control", "expect = fail", "expect = fial"),
+                       "[task] expect", "pass, fail"),
+    # exit 1 with "Not a boolean: ture"
+    "bad-boolean": (HYPERBOLIC + GRAPH_TASK + "maximal = ture\n", "[task] maximal", "not a boolean"),
+    # exit 0: an m = 3 barrier beside an m = 2 model
+    "schwarzschild-barrier-on-hyperbolic": (HYPERBOLIC + SCHWARZSCHILD_VERIFY, "[task] barrier_kind",
+                                            "profile=schwarzschild"),
+    # exit 0 at the barrier's own H0 default 0.2, where graphs default to 0.0
+    "barrier-H0-unset": (_bundled_text("schwarzschild_barrier", "H0 = 0.2\n"), "[task] H0",
+                         "required (barrier_kind=schwarzschild)"),
+    # exit 1 with "Schwarzschild base needs dimension m >= 3"
+    "schwarzschild-m-unset": (_bundled_text("schwarzschild_barrier", "m = 3\n"), "[model] m",
+                              "required (profile=schwarzschild"),
+    # exit 1 with "missing required [model] section"
+    "unknown-section": (HYPERBOLIC.replace("[model]", "[modle]") + GRAPH_TASK, "[modle]", "model"),
+    # exit 0 at h = 1
+    "warp-value-without-constant-warp": (HYPERBOLIC + "warp_value = 2.0\n" + GRAPH_TASK, "[model] warp_value",
+                                         "warp=constant"),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_DEFECTS)
+def test_config_defect_names_the_key(case, tmp_path, capsys):
+    text, key, hint = CONFIG_DEFECTS[case]
+    code = cli.main(["run", _write(tmp_path, text), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: ") and key in err and hint in err, err
+
+
+def test_resolved_config_is_frozen_and_complete():
+    cfg = cli.load_config("schwarzschild_barrier")
+    assert sorted(cfg) == ["model", "task"]
+    assert {(sec, key) for sec in cfg for key in cfg[sec]} == {(k.section, k.name) for k in cli.KEYS}
+    assert (cfg["model"]["m"], cfg["model"]["mu"], cfg["task"]["H0"], cfg["task"]["n"]) == (3, 1.0, 0.2, 4000)
+    assert cfg["task"]["grid_n"] is None and cfg["task"]["G0"] is None  # keys of other tasks do not apply
+    with pytest.raises(TypeError):
+        cfg["task"]["H0"] = 0.3
+
+
+def test_barrier_kind_builds_without_verifying(tmp_path, capsys):
+    code = cli.main(["run", _write(tmp_path, _bundled_text("hyperbolic_barrier", "kind = verify", "kind = barrier")),
+                     "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    assert (tmp_path / "case" / "reports.csv").read_text().splitlines()[1].startswith("barrier-constructed,")
+
+
+def test_unknown_key_hint_keeps_difflib_off_the_import_path():
+    code = "import sys, staticlab.cli; print('difflib' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
+def _tags_text(tags):
+    """'kind: a, b or profile: c' for a set of name=value tags, in the order KEYS lists them."""
+    order = {f"{k.name}={v}": (i, j) for i, k in enumerate(cli.KEYS) if isinstance(k.type, tuple)
+             for j, v in enumerate(k.type)}
+    if set(tags) == {tag for tag in order if tag.startswith("kind=")} - {"kind=suite"}:
+        return "kind: any but `suite`"
+    names = {}
+    for tag in sorted(tags, key=order.__getitem__):
+        name, value = tag.split("=")
+        names.setdefault(name, []).append(f"`{value}`")
+    return " or ".join(f"{name}: {', '.join(values)}" for name, values in names.items())
+
+
+def key_row(k):
+    """The README row of one key of the table."""
+    if isinstance(k.type, tuple):
+        kind = "one of " + ", ".join(f"`{v}`" for v in k.type)
+    elif k.type.startswith("int>="):
+        kind = f"integer >= {k.type[5:]}"
+    else:
+        kind = {"finite": "finite number", "positive": "positive number", "bool": "boolean",
+                "floats": "finite numbers", "path": "existing file"}[k.type]
+    if k.default is cli.REQUIRED or k.default is None:
+        default = "required" if k.default is cli.REQUIRED else "unset"
+    elif isinstance(k.default, tuple):
+        default = "`" + " ".join(map(repr, k.default)) + "`"
+    else:
+        default = f"`{str(k.default).lower() if isinstance(k.default, bool) else k.default}`"
+    if k.required:
+        default += f"; required with {_tags_text(k.required)}"
+    applies = "; and ".join(_tags_text(group) for group in k.applies) or "every config"
+    return f"| `[{k.section}]` | `{k.name}` | {kind} | {default} | {applies} |"
+
+
+def test_readme_lists_the_key_table():
+    # the README's config-key reference is the table itself, so it cannot go stale
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        rows = [line.rstrip("\n") for line in fh if line.startswith(("| `[model]`", "| `[task]`"))]
+    assert rows == [key_row(k) for k in cli.KEYS]

@@ -21,7 +21,6 @@ from staticlab.estimates import (
     mean_H_average,
     salavessa_check,
     sphere_area,
-    weighted_volume_annulus,
     weighted_volumes,
 )
 from staticlab.geometry import (
@@ -29,7 +28,6 @@ from staticlab.geometry import (
     RadialBase,
     StaticModel,
     constant_warp,
-    custom_profile,
     custom_warp,
     euclidean_profile,
     hyperbolic_profile,
@@ -102,8 +100,6 @@ class TestWeightedVolumes:
     def test_annulus_for_annulus_models(self, schwarzschild_model):
         with pytest.raises(ValueError, match="annulus"):
             weighted_volumes(schwarzschild_model, [1.0])
-        vol, b0, b1 = weighted_volume_annulus(schwarzschild_model, 2.0, 4.0)
-        assert vol > 0 and b1 > b0 > 0
 
     def test_coarea_consistency(self, hyperbolic_model, euclid_model):
         from staticlab.estimates import _volumes
@@ -334,13 +330,12 @@ class TestDomain:
 
     @pytest.mark.parametrize("query", [
         lambda m: weighted_volumes(m, [1.0, 5.0]),
-        lambda m: weighted_volume_annulus(m, 0.5, 5.0),
         lambda m: mean_H_average(m, constant_H(1.0), np.array([1.0, 2.5])),
         lambda m: log_volume_identity_check(m, 1.0, 3.0),
         lambda m: cheeger_profile(m, 5.0),
         lambda m: lambda1_estimate(m, 5.0, 400),
         lambda m: growth_diagnostics(m, 5.0),
-    ], ids=["weighted_volumes", "weighted_volume_annulus", "mean_H_average", "log_volume_identity_check",
+    ], ids=["weighted_volumes", "mean_H_average", "log_volume_identity_check",
             "cheeger_profile", "lambda1_estimate", "growth_diagnostics"])
     def test_past_the_domain_raises(self, query):
         model = _plane_model(hyperbolic_profile(1.0), 2.0)
@@ -348,13 +343,6 @@ class TestDomain:
             query(model)
         t = weighted_volumes(model, [1.0, 2.0])  # the domain's end is still served
         assert t.vol[1] == pytest.approx(2 * math.pi * (math.cosh(2.0) - 1.0), rel=1e-12)
-
-    def test_custom_spline_annulus(self):
-        # a sinh spline on (0.1, 3) extrapolated to 9 gave 7042, not 2 pi (cosh 9 - cosh 0.5) = 25450
-        s = np.linspace(0.1, 3.0, 60)
-        model = StaticModel(RadialBase(2, custom_profile(s, np.sinh(s)), (0.1, 3.0)), constant_warp(1.0))
-        with pytest.raises(DomainError):
-            weighted_volume_annulus(model, 0.5, 9.0)
 
 
 class TestGrowth:

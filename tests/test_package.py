@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -27,6 +28,19 @@ def test_only_geometry_evaluates_profiles_and_warps():
         if path.name != "geometry.py"
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if ".evaluate(" in line
+    ]
+    assert calls == []
+
+
+def test_only_the_key_table_reads_configs():
+    # cli.KEYS decides every config key, default and check: no src/ line reads a parsed config itself
+    pkg = pathlib.Path(staticlab.__file__).parent
+    reads = re.compile(r"\.(getfloat|getint|getboolean|has_option)\(|\bcp\.get")
+    calls = [
+        f"{path.name}:{number}"
+        for path in sorted(pkg.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if reads.search(line)
     ]
     assert calls == []
 

@@ -217,6 +217,13 @@ class TestProjection:
             a_up = np.eye(3) + th2 * np.outer(u, u)
             assert abs(np.sum(a_up * out)) <= 1e-12
 
+    @pytest.mark.parametrize("u", [(1.0, 0.0), (1.2, 0.0)])
+    def test_gradient_off_the_unit_ball_raises(self, u):
+        # like its sibling kernels; Theta^2 = 1/(1 - |u|^2) is infinite at (1, 0), which gave NaN
+        # entries, and negative at (1.2, 0), which gave the zero matrix
+        with pytest.raises(ValueError, match=r"\|u\| < 1"):
+            project_a_tracefree(np.array(u), np.eye(2))
+
 
 class TestPseudoJacobi:
     def test_zero_gradient_two_dim(self):
@@ -337,6 +344,8 @@ class TestBlocked:
         us[-1] = [1.0, 0.0, 0.0]
         with pytest.raises(ValueError, match=r"\|u\| < 1"):
             pseudo_jacobi_gap_batch(us, hs, 0.5)
+        with pytest.raises(ValueError, match=r"\|u\| < 1"):
+            project_a_tracefree_batch(us, hs)
         with pytest.raises(ValueError, match=r"\|X\| < 1"):
             coercivity_gap_batch(us, np.zeros_like(us))
         with pytest.raises(ValueError, match=r"\|X\| < 1"):
