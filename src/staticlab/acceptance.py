@@ -40,8 +40,8 @@ def _hyperbolic_model(s_max=20.0, B=1.0):
     return geometry.StaticModel(base, geometry.constant_warp(1.0))
 
 
-def _euclid_model(s_max=20.0, s_min=0.0, m=2):
-    base = geometry.RadialBase(m, geometry.euclidean_profile(), (s_min, s_max))
+def _euclid_model(s_max=20.0, s_min=0.0):
+    base = geometry.RadialBase(2, geometry.euclidean_profile(), (s_min, s_max))
     return geometry.StaticModel(base, geometry.constant_warp(1.0))
 
 
@@ -82,7 +82,7 @@ def _sample_models(rng, count):
     return out
 
 
-def criterion_1(seed=42, tol_scale=1.0) -> CriterionResult:
+def criterion_1(seed: int) -> CriterionResult:
     """Curvature engine: Schwarzschild vacuum Ricci and Riemann contraction."""
     details = []
     rng = np.random.default_rng(seed)
@@ -90,7 +90,7 @@ def criterion_1(seed=42, tol_scale=1.0) -> CriterionResult:
     s = geometry.schwarzschild_s_of_rho(1.0, 3, rng.uniform(2.1, 50.0, size=20))
     ric = geometry.spacetime_ricci(model, s)
     worst = float(max(np.max(np.abs(c)) for c in (ric.hor_rad, ric.hor_tan, ric.vert)))
-    ok1 = worst <= 1e-8 * tol_scale
+    ok1 = worst <= 1e-8
     details.append(f"vacuum Ricci max |component| = {worst:.3e} (<= 1e-8): {'ok' if ok1 else 'FAIL'}")
 
     worst_c = 0.0
@@ -107,13 +107,13 @@ def criterion_1(seed=42, tol_scale=1.0) -> CriterionResult:
         expected[m, m] = ric.vert_frame
         worst_c = max(worst_c, float(np.max(np.abs(ric_mat - expected))))
         worst_sym = max(worst_sym, riem.symmetry_residual())
-    ok2 = worst_c <= 1e-9 * tol_scale
+    ok2 = worst_c <= 1e-9
     details.append(f"Riemann->Ricci contraction worst = {worst_c:.3e} (<= 1e-9): {'ok' if ok2 else 'FAIL'}")
     details.append(f"curvature-tensor symmetry residual worst = {worst_sym:.3e}")
     return CriterionResult(1, "curvature engine (vacuum oracle and contraction)", ok1 and ok2, tuple(details))
 
 
-def criterion_2(seed=42, tol_scale=1.0) -> CriterionResult:
+def criterion_2(seed: int) -> CriterionResult:
     """Solver correctness: asinh closed form, grid convergence, CMC flux."""
     details = []
     model = _euclid_model(s_min=0.5, s_max=10.0)
@@ -126,7 +126,7 @@ def criterion_2(seed=42, tol_scale=1.0) -> CriterionResult:
 
     e400 = tau_error(400)
     e800 = tau_error(800)
-    ok1 = e400 <= 1e-6 * tol_scale
+    ok1 = e400 <= 1e-6
     ratio = e400 / e800
     ok2 = ratio >= 8.0
     details.append(f"asinh max error at grid 400 = {e400:.3e} (<= 1e-6): {'ok' if ok1 else 'FAIL'}")
@@ -140,13 +140,13 @@ def criterion_2(seed=42, tol_scale=1.0) -> CriterionResult:
     with np.errstate(invalid="ignore"):
         w = np.where(s > 0, g.flux / np.maximum(np.sinh(s), 1e-300), 0.0)
     w_err = float(np.max(np.abs(w - np.tanh(s / 2.0))))
-    ok3 = flux_err <= 1e-8 * tol_scale and w_err <= 1e-8 * tol_scale
+    ok3 = flux_err <= 1e-8 and w_err <= 1e-8
     details.append(f"CMC flux vs cosh s - 1: {flux_err:.3e}; W vs tanh(s/2): {w_err:.3e} (<= 1e-8): "
                    f"{'ok' if ok3 else 'FAIL'}")
     return CriterionResult(2, "graph solver against closed forms", ok1 and ok2 and ok3, tuple(details))
 
 
-def criterion_3(seed=42, tol_scale=1.0) -> CriterionResult:
+def criterion_3(seed: int) -> CriterionResult:
     """Angle lower bound instances and the boundary estimate equality chain."""
     details = []
     ok = True
@@ -173,25 +173,25 @@ def criterion_3(seed=42, tol_scale=1.0) -> CriterionResult:
         lhs = np.sqrt(cosh**2 - 1.0) * (wv.bvol / wv.vol)
         rhs = model.m * np.abs(estimates.mean_H_average(model, graphs.constant_H(H0), radii))
         vcheck = float(np.max(np.abs(lhs - rhs)))
-        clause2 = vcheck <= 1e-8 * tol_scale
+        clause2 = vcheck <= 1e-8
         ok &= clause2
         details.append(f"H0={H0}: boundary-estimate equality chain residual {vcheck:.3e} (<= 1e-8): "
                        f"{'ok' if clause2 else 'FAIL'}")
     return CriterionResult(3, "angle bound instances (constant-curvature gauge)", ok, tuple(details))
 
 
-def criterion_4(seed=42, tol_scale=1.0) -> CriterionResult:
+def criterion_4(seed: int) -> CriterionResult:
     """Flux identity in ball, annulus and slice form."""
     details = []
     ok = True
     hyp = _hyperbolic_model()
     g1 = graphs.solve_radial_graph(hyp, graphs.constant_H(0.5), graphs.Anchor.pole(0.0),
                                    Grid.uniform(0.0, 8.0, 1601))
-    r1 = estimates.flux_identity_check(g1, graphs.constant_H(0.5), 0.0, 1.0, tol=1e-8 * tol_scale)
+    r1 = estimates.flux_identity_check(g1, graphs.constant_H(0.5), 0.0, 1.0, tol=1e-8)
     eu = _euclid_model(s_min=0.5, s_max=10.0)
     g2 = graphs.solve_radial_graph(eu, graphs.zero_H(), graphs.Anchor.point(1.0, 0.0, 1.0),
                                    Grid.uniform(1.0, 5.0, 801))
-    r2 = estimates.flux_identity_check(g2, graphs.zero_H(), 1.0, 4.0, tol=1e-10 * tol_scale)
+    r2 = estimates.flux_identity_check(g2, graphs.zero_H(), 1.0, 4.0, tol=1e-10)
     bf = 2.0 * math.pi  # each boundary flux of the maximal annulus is omega * c
     i0, i1 = g2.node_index(1.0), g2.node_index(4.0)
     g3 = graphs.solve_radial_graph(eu, graphs.zero_H(), graphs.Anchor.point(1.0, 0.0, 0.0),
@@ -206,14 +206,14 @@ def criterion_4(seed=42, tol_scale=1.0) -> CriterionResult:
                            tuple(details), (r1, r2, r3))
 
 
-def criterion_5(seed=42, tol_scale=1.0) -> CriterionResult:
+def criterion_5(seed: int) -> CriterionResult:
     """Volume-ratio monotonicity, positive scenarios plus negative control."""
     details = []
     radii = np.linspace(0.5, 10.0, 12)
     hyp = _hyperbolic_model()
-    r1 = estimates.bishop_gromov_check(hyp, barriers.ComparisonModel(1.0), radii, tol=1e-9 * tol_scale)
+    r1 = estimates.bishop_gromov_check(hyp, barriers.ComparisonModel(1.0), radii, tol=1e-9)
     eu = _euclid_model()
-    r2 = estimates.bishop_gromov_check(eu, barriers.ComparisonModel(0.0), radii, tol=1e-9 * tol_scale)
+    r2 = estimates.bishop_gromov_check(eu, barriers.ComparisonModel(0.0), radii, tol=1e-9)
     neg = estimates.bishop_gromov_check(hyp, barriers.ComparisonModel(0.0), radii, tol=1e-9)
     ok = r1.verdict and r2.verdict and (not neg.verdict) and ("VIOLATED" in neg.notes[0])
     details.append(f"hyperbolic with matching k: margin {r1.margin:.3e}: {'ok' if r1.verdict else 'FAIL'}")
@@ -226,7 +226,7 @@ def criterion_5(seed=42, tol_scale=1.0) -> CriterionResult:
                            tuple(details), (r1, r2, neg))
 
 
-def criterion_6(seed=42, tol_scale=1.0) -> CriterionResult:
+def criterion_6(seed: int) -> CriterionResult:
     """Cheeger tail, truncated lowest eigenvalue, and the spectral inequality."""
     details = []
     model = _hyperbolic_model(s_max=25.0)
@@ -234,7 +234,7 @@ def criterion_6(seed=42, tol_scale=1.0) -> CriterionResult:
     ok1 = abs(prof.c_hat - 1.0) <= 0.01
     details.append(f"tail Cheeger estimate = {prof.c_hat:.6f} (|. - 1| <= 0.01): {'ok' if ok1 else 'FAIL'}")
     lam = estimates.lambda1_estimate(model, 20.0, 2000)
-    ok2 = abs(lam - 0.25) <= 0.02 * tol_scale
+    ok2 = abs(lam - 0.25) <= 0.02
     details.append(
         f"lambda1 estimate at r_trunc=20, n=2000 = {lam:.6f} (|. - 0.25| <= 0.02): "
         f"{'ok' if ok2 else 'FAIL'} "
@@ -248,7 +248,7 @@ def criterion_6(seed=42, tol_scale=1.0) -> CriterionResult:
     return CriterionResult(6, "Cheeger tail and lowest radial eigenvalue", ok1 and ok2 and ok3, tuple(details))
 
 
-def criterion_7(seed=42, tol_scale=1.0) -> CriterionResult:
+def criterion_7(seed: int) -> CriterionResult:
     """Barrier constructions: defining ODE, anchors, controls, escape, residual."""
     details = []
     ok = True
@@ -258,14 +258,14 @@ def criterion_7(seed=42, tol_scale=1.0) -> CriterionResult:
         A=lambda s: np.ones_like(np.asarray(s, dtype=float)), s_max=30.0, n=4000,
     )
     ode_resid = float(np.max(np.abs((barriers.flux_divergence(b) - b.C * b.rhs_A)[2:-2])))
-    clause = ode_resid <= 1e-8 * tol_scale
+    clause = ode_resid <= 1e-8
     ok &= clause
     details.append(f"defining ODE residual (w f)'/w - C A = {ode_resid:.3e} (<= 1e-8): "
                    f"{'ok' if clause else 'FAIL'}")
     bs = barriers.build_barrier_schwarzschild(1.0, 3, 3.0, 6.0, beta=0.1, H0=0.2, rho_max=40.0, n=4000)
     all_reports = []
     for tag, bb in (("hyperbolic", b), ("schwarzschild", bs)):
-        reps = barriers.verify_barrier(bb, tol_scale=tol_scale)
+        reps = barriers.verify_barrier(bb)
         all_reports.extend(reps)
         for rep in reps:
             ok &= rep.verdict
@@ -274,7 +274,7 @@ def criterion_7(seed=42, tol_scale=1.0) -> CriterionResult:
                            tuple(details), tuple(all_reports))
 
 
-def criterion_8(seed=42, tol_scale=1.0) -> CriterionResult:
+def criterion_8(seed: int) -> CriterionResult:
     """Half-space demonstrations: height growth of mean-convex graphs."""
     details = []
     ok = True
@@ -316,7 +316,7 @@ def criterion_8(seed=42, tol_scale=1.0) -> CriterionResult:
     return CriterionResult(8, "half-space growth demonstrations", ok, tuple(details))
 
 
-def criterion_9(seed=42, tol_scale=1.0) -> CriterionResult:
+def criterion_9(seed: int) -> CriterionResult:
     """Pseudo-Jacobi and coercivity gaps over seeded sweeps."""
     details = []
     ok = True
@@ -324,7 +324,7 @@ def criterion_9(seed=42, tol_scale=1.0) -> CriterionResult:
         gaps = tensors.pseudo_jacobi_gap_batch(*tensors.sample_gradhess_batch(seed + m, 10_000, m),
                                                alpha=1.0 / (m - 1))
         worst = float(np.min(gaps))
-        clause = worst >= -1e-10 * tol_scale
+        clause = worst >= -1e-10
         ok &= clause
         details.append(f"pseudo-Jacobi m={m}: min gap over 1e4 samples = {worst:.3e} (>= -1e-10): "
                        f"{'ok' if clause else 'FAIL'}")
@@ -357,7 +357,7 @@ def criterion_9(seed=42, tol_scale=1.0) -> CriterionResult:
     return CriterionResult(9, "pseudo-Jacobi and coercivity sweeps", ok, tuple(details))
 
 
-def criterion_10(seed=42, tol_scale=1.0) -> CriterionResult:
+def criterion_10(seed: int) -> CriterionResult:
     """Gradient estimate: slices pass, annulus control fails, step-1 machinery."""
     details = []
     ok = True
@@ -399,7 +399,7 @@ def criterion_10(seed=42, tol_scale=1.0) -> CriterionResult:
         if res.interior_smooth_max:
             interior_count += 1
             worst_lz = max(worst_lz, res.lzeta_at_max)
-    clause = interior_count >= 10 and worst_lz <= 1e-4 * tol_scale
+    clause = interior_count >= 10 and worst_lz <= 1e-4
     ok &= clause
     details.append(
         f"step-1 inequality held on 20 seeded configurations; {interior_count} interior smooth maxima, "
@@ -408,7 +408,7 @@ def criterion_10(seed=42, tol_scale=1.0) -> CriterionResult:
     return CriterionResult(10, "gradient-estimate machinery with negative control", ok, tuple(details))
 
 
-def criterion_11(seed=42, tol_scale=1.0) -> CriterionResult:
+def criterion_11(seed: int) -> CriterionResult:
     """Discrete elliptic machinery: telescoping, comparison, Newton solves."""
     details = []
     ok = True
@@ -417,14 +417,14 @@ def criterion_11(seed=42, tol_scale=1.0) -> CriterionResult:
     op = elliptic.MeshOperator.from_model(eu, grid)
     exact = np.arcsinh(grid.nodes) - np.arcsinh(1.0)
     tele = elliptic.divergence_telescope(op, exact, np.zeros(len(grid)))
-    clause = tele <= 1e-12 * tol_scale
+    clause = tele <= 1e-12
     ok &= clause
     details.append(f"discrete divergence theorem residual = {tele:.3e} (<= 1e-12): {'ok' if clause else 'FAIL'}")
 
     prob = elliptic.DirichletProblem(op, np.zeros(len(grid)), (0.0, float(exact[-1])))
     u = elliptic.newton_solve(prob)
     err = float(np.max(np.abs(u.values - exact)))
-    clause = err <= 1e-6 * tol_scale
+    clause = err <= 1e-6
     ok &= clause
     details.append(f"Newton catenoid error = {err:.3e} (<= 1e-6): {'ok' if clause else 'FAIL'}")
 
@@ -441,7 +441,7 @@ def criterion_11(seed=42, tol_scale=1.0) -> CriterionResult:
     s_mid = float(grid_h.nodes[mid])
     exact_mid = quad(cmc_slope, 0.5, s_mid, 1e-13)
     err_h = abs(float(u_h.values[mid]) - exact_mid)
-    clause = err_h <= 1e-6 * tol_scale
+    clause = err_h <= 1e-6
     ok &= clause
     details.append(f"Newton CMC (sinh weight) midpoint error = {err_h:.3e} (<= 1e-6): {'ok' if clause else 'FAIL'}")
 
@@ -470,7 +470,7 @@ def criterion_11(seed=42, tol_scale=1.0) -> CriterionResult:
     return CriterionResult(11, "discrete elliptic machinery", ok, tuple(details))
 
 
-def criterion_12(seed=42, tol_scale=1.0) -> CriterionResult:
+def criterion_12(seed: int) -> CriterionResult:
     """Determinism: consecutive reruns produce byte-identical CSV artifacts.
 
     Checked on a full numeric scenario (every CSV it writes) and on the
@@ -488,10 +488,8 @@ def criterion_12(seed=42, tol_scale=1.0) -> CriterionResult:
         out1 = os.path.join(tmp, "a")
         out2 = os.path.join(tmp, "b")
         with contextlib.redirect_stdout(io.StringIO()):
-            code1 = cli.main(["run", cli.bundled_scenario("hyperbolic_cmc"), "--out", out1,
-                              "--seed", str(seed)])
-            code2 = cli.main(["run", cli.bundled_scenario("hyperbolic_cmc"), "--out", out2,
-                              "--seed", str(seed)])
+            code1 = cli.main(["run", cli.bundled_scenario("hyperbolic_cmc"), "--out", out1])
+            code2 = cli.main(["run", cli.bundled_scenario("hyperbolic_cmc"), "--out", out2])
         ok &= code1 == 0 and code2 == 0
         details.append(f"two scenario runs exited with {code1}, {code2}")
         names = []
@@ -540,14 +538,14 @@ CRITERIA = {
 }
 
 
-def run_criterion(number: int, seed: int = 42, tol_scale: float = 1.0) -> CriterionResult:
-    return CRITERIA[number](seed=seed, tol_scale=tol_scale)
+def run_criterion(number: int, seed: int = 42) -> CriterionResult:
+    return CRITERIA[number](seed=seed)
 
 
-def run_acceptance(seed: int = 42, tol_scale: float = 1.0) -> list[CriterionResult]:
-    return [CRITERIA[k](seed=seed, tol_scale=tol_scale) for k in sorted(CRITERIA)]
+def run_acceptance(seed: int = 42) -> list[CriterionResult]:
+    return [CRITERIA[k](seed=seed) for k in sorted(CRITERIA)]
 
 
-def run_quick(seed: int = 42, tol_scale: float = 1.0) -> list[CriterionResult]:
+def run_quick(seed: int = 42) -> list[CriterionResult]:
     """A fast subset: curvature, solver, flux identity, elliptic machinery."""
-    return [CRITERIA[k](seed=seed, tol_scale=tol_scale) for k in (1, 2, 4, 11)]
+    return [CRITERIA[k](seed=seed) for k in (1, 2, 4, 11)]

@@ -252,7 +252,7 @@ def flux_divergence(b: BarrierFunction) -> np.ndarray:
     return fd_derivative(b.w_nodes * b.f.values, float(nodes[1] - nodes[0])) / b.w_nodes
 
 
-def verify_barrier(b: BarrierFunction, tol_scale: float = 1.0) -> list[EstimateReport]:
+def verify_barrier(b: BarrierFunction) -> list[EstimateReport]:
     """Grid verification of a constructed barrier; failures are verdicts.
 
     Checks: u0 vanishes at the inner anchor, the control-sphere height, the
@@ -269,14 +269,14 @@ def verify_barrier(b: BarrierFunction, tol_scale: float = 1.0) -> list[EstimateR
 
     out.append(make_report(
         "barrier-anchor", lhs=abs(u0[0]), rhs=0.0, margin=-abs(u0[0]),
-        tol=1e-10 * tol_scale, grid_meta=f"n={nodes.size}",
+        tol=1e-10, grid_meta=f"n={nodes.size}",
     ))
 
     ctrl_s, ctrl_level = b.control
     j = int(np.argmin(np.abs(nodes - ctrl_s)))
     out.append(make_report(
         "barrier-control-height", lhs=u0[j], rhs=ctrl_level,
-        margin=ctrl_level - u0[j], tol=1e-10 * tol_scale,
+        margin=ctrl_level - u0[j], tol=1e-10,
         grid_meta=f"control s={ctrl_s!r}",
     ))
 
@@ -305,7 +305,7 @@ def verify_barrier(b: BarrierFunction, tol_scale: float = 1.0) -> list[EstimateR
     worst_resid = float(np.max(resid[2:-2]))
     out.append(make_report(
         "barrier-divergence-residual", lhs=worst_resid, rhs=0.0,
-        margin=-worst_resid, tol=DIVERGENCE_TOL * tol_scale,
+        margin=-worst_resid, tol=DIVERGENCE_TOL,
         grid_meta=f"n={nodes.size} ds={ds:.3e}",
         notes=(f"slack expected: (C-1) A <= 0 with C = {b.C!r}",) + b.warnings,
     ))

@@ -1,17 +1,16 @@
 """Scenario-driven command line front end.
 
 Usage:
-    staticlab run <config> [--out DIR] [--seed N] [--tol-scale X]
-    staticlab suite <acceptance|quick> [--out DIR] [--seed N] [--tol-scale X]
+    staticlab run <config> [--out DIR]
+    staticlab suite <acceptance|quick> [--out DIR] [--seed N]
 
-Configs are INI files with [model] and [task] sections (a `kind = suite`
-config needs only [task]); numbers are binary64 decimal text.  `KEYS`
-declares each key: its type, default and the kinds of model and task it
-applies to.  An unknown or inapplicable key or section, a missing required
-key or a bad value exits 1 with the key named.  `--seed` seeds the sampled
-criteria of a suite.  Exit codes: 0 when all requested checks pass
-(expected failures count as passes), 2 on check failure, 1 on usage or
-configuration errors.
+Configs are INI files with [model] and [task] sections; numbers are
+binary64 decimal text.  `KEYS` declares each key: its type, default and the
+kinds of model and task it applies to.  An unknown or inapplicable key or
+section, a missing required key or a bad value exits 1 with the key named.
+`--seed` seeds the sampled criteria of a suite.  Exit codes: 0 when all
+requested checks pass (expected failures count as passes), 2 on check
+failure, 1 on usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -54,27 +53,24 @@ def _is(name: str, *values: str) -> frozenset:
 
 
 REQUIRED = "required"
-_SUITES = ("acceptance", "quick")
 _GRAPH, _BARRIER = _is("kind", "solve-graph", "estimates", "angle-bound"), _is("kind", "barrier", "verify")
 _ELLIPTIC, _ESTIMATES, _ANGLE = _is("kind", "elliptic"), _is("kind", "estimates"), _is("kind", "angle-bound")
-_MODEL = _GRAPH | _ELLIPTIC | _BARRIER | _is("kind", "growth")
 _SCHW, _SCHW_BARRIER = _is("profile", "schwarzschild"), _is("barrier_kind", "schwarzschild")
 _SCHW_WARP, _PROD0 = _SCHW | _is("warp", "schwarzschild"), _is("barrier_kind", "prod0")
 _NEEDS = {"barrier_kind=schwarzschild": _SCHW}  # that barrier reads mu and m from [model]
 
 KEYS = (
-    Key("task", "kind", ("solve-graph", "barrier", "verify", "estimates", "growth", "angle-bound", "elliptic",
-                         "suite"), REQUIRED),
-    Key("task", "name", _SUITES, "quick", (_is("kind", "suite"),)),
-    Key("model", "profile", ("euclidean", "hyperbolic", "schwarzschild", "custom"), REQUIRED, (_MODEL,)),
-    Key("model", "warp", ("one", "constant", "schwarzschild"), "one", (_MODEL,)),
+    Key("task", "kind", ("solve-graph", "barrier", "verify", "estimates", "growth", "angle-bound", "elliptic"),
+        REQUIRED),
+    Key("model", "profile", ("euclidean", "hyperbolic", "schwarzschild", "custom"), REQUIRED),
+    Key("model", "warp", ("one", "constant", "schwarzschild"), "one"),
     Key("task", "barrier_kind", ("prod0", "schwarzschild"), "prod0", (_BARRIER,)),
     Key("task", "anchor", ("pole", "point"), "pole", (_GRAPH,)),
     Key("task", "t0_mode", ("explicit", "tau-at-anchor"), "explicit", (_ANGLE,)),
-    Key("task", "expect", ("pass", "fail"), "pass", (_MODEL,)),
-    Key("model", "m", "int>=2", 2, (_MODEL,), _SCHW_WARP),
-    Key("model", "s_min", "finite", 0.0, (_MODEL,)),
-    Key("model", "s_max", "finite", 20.0, (_MODEL,)),
+    Key("task", "expect", ("pass", "fail"), "pass"),
+    Key("model", "m", "int>=2", 2, (), _SCHW_WARP),
+    Key("model", "s_min", "finite", 0.0),
+    Key("model", "s_max", "finite", 20.0),
     Key("model", "B", "positive", 1.0, (_is("profile", "hyperbolic"),)),
     Key("model", "mu", "positive", 1.0, (_SCHW_WARP,)),
     Key("model", "rho_min", "finite", None, (_SCHW,)),
@@ -94,10 +90,10 @@ KEYS = (
     Key("task", "plot", "bool", False, (_is("kind", "solve-graph", "estimates"),)),
     Key("task", "radii", "floats", (2.0, 5.0, 10.0), (_ESTIMATES,)),
     Key("task", "bg_G0", "finite", 1.0, (_ESTIMATES,)),
-    Key("task", "cheeger_rmax", "finite", 20.0, (_ESTIMATES,)),
-    Key("task", "lambda1_rtrunc", "finite", 15.0, (_ESTIMATES,)),
+    Key("task", "cheeger_rmax", "positive", 20.0, (_ESTIMATES,)),
+    Key("task", "lambda1_rtrunc", "positive", 15.0, (_ESTIMATES,)),
     Key("task", "lambda1_n", "int>=1", 1500, (_ESTIMATES,)),
-    Key("task", "r_max", "finite", 100.0, (_is("kind", "growth"),)),
+    Key("task", "r_max", "positive", 100.0, (_is("kind", "growth"),)),
     Key("task", "t0", "finite", 0.0, (_is("t0_mode", "explicit"),)),
     Key("task", "G", "finite", 1.0, (_ANGLE,)),
     Key("task", "rhs", "finite", 0.0, (_ELLIPTIC,)),
@@ -226,16 +222,16 @@ def _solve_graph(cfg, model, outdir):
     return g, spec
 
 
-def _task_solve_graph(cfg, model, outdir, tol_scale):
+def _task_solve_graph(cfg, model, outdir):
     g, _spec = _solve_graph(cfg, model, outdir)
     if cfg["task"]["plot"]:
         svg_polyline(g.grid.nodes, g.cosh_theta, os.path.join(outdir, "cosh_theta.svg"),
                      title="cosh theta profile")
         svg_polyline(g.grid.nodes, g.tau, os.path.join(outdir, "tau.svg"), title="height profile")
-    return [graphs.gauge_consistency_check(g, tol=1e-6 * tol_scale)]
+    return [graphs.gauge_consistency_check(g, tol=1e-6)]
 
 
-def _task_barrier(cfg, model, outdir, tol_scale):
+def _task_barrier(cfg, model, outdir):
     t, m = cfg["task"], cfg["model"]["m"]
     if t["barrier_kind"] == "schwarzschild":
         b = barriers.build_barrier_schwarzschild(cfg["model"]["mu"], m, rho1=t["rho1"], rho2=t["rho2"],
@@ -246,28 +242,28 @@ def _task_barrier(cfg, model, outdir, tol_scale):
             A=lambda s, a0=t["A0"]: np.full_like(np.asarray(s, dtype=float), a0), s_max=t["s_max"], n=t["n"])
     barriers.export_barrier_csv(b, os.path.join(outdir, "barrier.csv"))
     if t["kind"] == "verify":
-        return barriers.verify_barrier(b, tol_scale=tol_scale)
+        return barriers.verify_barrier(b)
     return [make_report("barrier-constructed", lhs=b.C, rhs=1.0, margin=1.0 - b.C, tol=0.0,
                         grid_meta=f"kind={b.kind} beta1={b.beta1!r}", notes=tuple(b.warnings))]
 
 
-def _task_estimates(cfg, model, outdir, tol_scale):
+def _task_estimates(cfg, model, outdir):
     t = cfg["task"]
     g, spec = _solve_graph(cfg, model, outdir)
     r0, r1 = t["radii"][0], t["radii"][-1]
     reports = [
-        graphs.gauge_consistency_check(g, tol=1e-6 * tol_scale),
-        estimates.flux_identity_check(g, spec, 0.0, r0, tol=1e-8 * tol_scale),
-        estimates.salavessa_check(g, spec, list(t["radii"]), tol=1e-9 * tol_scale),
-        estimates.cosh_lower_estimate_check(g, spec, r0, r1, tol=1e-8 * tol_scale),
-        estimates.log_volume_identity_check(model, r0, r1, tol=1e-7 * tol_scale),
+        graphs.gauge_consistency_check(g, tol=1e-6),
+        estimates.flux_identity_check(g, spec, 0.0, r0, tol=1e-8),
+        estimates.salavessa_check(g, spec, list(t["radii"]), tol=1e-9),
+        estimates.cosh_lower_estimate_check(g, spec, r0, r1, tol=1e-8),
+        estimates.log_volume_identity_check(model, r0, r1, tol=1e-7),
         estimates.bishop_gromov_check(model, barriers.ComparisonModel(t["bg_G0"]), np.linspace(r0, r1, 10),
-                                      tol=1e-9 * tol_scale),
+                                      tol=1e-9),
     ]
     prof = estimates.cheeger_profile(model, t["cheeger_rmax"])
     lam = estimates.lambda1_estimate(model, t["lambda1_rtrunc"], t["lambda1_n"])
     reports.append(make_report("cheeger-spectral-inequality", lhs=0.25 * prof.c_hat**2, rhs=lam,
-                               margin=lam - 0.25 * prof.c_hat**2, tol=0.03 * tol_scale,
+                               margin=lam - 0.25 * prof.c_hat**2, tol=0.03,
                                grid_meta=f"c_hat={prof.c_hat!r} lambda1={lam!r}", notes=(prof.assumption,)))
     if t["plot"]:
         svg_polyline(prof.radii, prof.ratios, os.path.join(outdir, "cheeger_ratio.svg"),
@@ -275,30 +271,30 @@ def _task_estimates(cfg, model, outdir, tol_scale):
     return reports
 
 
-def _task_growth(cfg, model, outdir, tol_scale):
+def _task_growth(cfg, model, outdir):
     r_max = cfg["task"]["r_max"]
     return [make_report(name, lhs=value, rhs=float("inf"), margin=0.0, tol=0.0, grid_meta=f"r_max={r_max!r}",
                         notes=(f"trend: {trend}",))
             for name, value, trend in estimates.growth_diagnostics(model, r_max).rows()]
 
 
-def _task_angle_bound(cfg, model, outdir, tol_scale):
+def _task_angle_bound(cfg, model, outdir):
     g, _spec = _solve_graph(cfg, model, outdir)
     t0 = float(g.tau[0]) if cfg["task"]["t0_mode"] == "tau-at-anchor" else cfg["task"]["t0"]
-    return [estimates.angle_bound_check(g, G=cfg["task"]["G"], t0=t0, tol=1e-9 * tol_scale)]
+    return [estimates.angle_bound_check(g, G=cfg["task"]["G"], t0=t0, tol=1e-9)]
 
 
-def _task_elliptic(cfg, model, outdir, tol_scale):
+def _task_elliptic(cfg, model, outdir):
     t, grid = cfg["task"], _build_grid(cfg, model)
     op = elliptic.MeshOperator.from_model(model, grid)
     rhs = np.full(len(grid), t["rhs"])
     u = elliptic.newton_solve(elliptic.DirichletProblem(op, rhs, (t["bc_left"], t["bc_right"])),
-                              tol=1e-9 * tol_scale)
+                              tol=1e-9)
     elliptic.export_solution_csv(op, u, rhs, os.path.join(outdir, "solution.csv"))
     res = float(np.max(np.abs(elliptic.residual(op, u, rhs))))
     tele = elliptic.divergence_telescope(op, u, rhs)
     return [
-        make_report("elliptic-solve", lhs=res, rhs=1e-9 * tol_scale, margin=1e-9 * tol_scale - res,
+        make_report("elliptic-solve", lhs=res, rhs=1e-9, margin=1e-9 - res,
                     tol=0.0, grid_meta=f"n={len(grid)}"),
         make_report("elliptic-telescope", lhs=tele, rhs=1e-12, margin=1e-12 - tele, tol=0.0),
     ]
@@ -309,13 +305,11 @@ _TASKS = {"solve-graph": _task_solve_graph, "barrier": _task_barrier, "verify": 
           "elliptic": _task_elliptic}
 
 
-def _run_scenario(config_path: str, outdir: str, seed: int, tol_scale: float) -> int:
+def _run_scenario(config_path: str, outdir: str) -> int:
     cfg = load_config(config_path)
-    if cfg["task"]["kind"] == "suite":
-        return _run_suite(cfg["task"]["name"], outdir, seed, tol_scale)
     scenario_out = os.path.join(outdir, os.path.splitext(os.path.basename(config_path))[0])
     os.makedirs(scenario_out, exist_ok=True)
-    reports = _TASKS[cfg["task"]["kind"]](cfg, _build_model(cfg), scenario_out, tol_scale)
+    reports = _TASKS[cfg["task"]["kind"]](cfg, _build_model(cfg), scenario_out)
     write_reports_csv(reports, os.path.join(scenario_out, "reports.csv"))
     text = reports_to_text(reports)
     failures = [r for r in reports if not r.verdict]
@@ -330,10 +324,10 @@ def _run_scenario(config_path: str, outdir: str, seed: int, tol_scale: float) ->
     return status
 
 
-def _run_suite(name: str, outdir: str, seed: int, tol_scale: float) -> int:
+def _run_suite(name: str, outdir: str, seed: int) -> int:
     from . import acceptance
     run = acceptance.run_acceptance if name == "acceptance" else acceptance.run_quick
-    results = run(seed=seed, tol_scale=tol_scale)
+    results = run(seed=seed)
     os.makedirs(outdir, exist_ok=True)
     summary = "".join(res.line() + "\n" + "".join(f"    {d}\n" for d in res.details) for res in results)
     sys.stdout.write(summary)
@@ -351,19 +345,18 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a scenario config")
     p_run.add_argument("config")
     p_suite = sub.add_parser("suite", help="run a bundled suite")
-    p_suite.add_argument("name", choices=_SUITES)
+    p_suite.add_argument("name", choices=("acceptance", "quick"))
     for p in (p_run, p_suite):
         p.add_argument("--out", default="out")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--tol-scale", type=float, default=1.0)
+    p_suite.add_argument("--seed", type=int, default=42)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
         if args.command == "run":
-            return _run_scenario(args.config, args.out, args.seed, args.tol_scale)
-        return _run_suite(args.name, args.out, args.seed, args.tol_scale)
+            return _run_scenario(args.config, args.out)
+        return _run_suite(args.name, args.out, args.seed)
     except (ValueError, RuntimeError) as exc:
         sys.stderr.write(f"{'config error' if isinstance(exc, ConfigError) else 'error'}: {exc}\n")
         return 1

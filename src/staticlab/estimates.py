@@ -128,13 +128,7 @@ def weighted_volumes(model: StaticModel, r_list) -> WeightedVolumeTable:
     )
 
 
-def _h_of(spec_or_fn):
-    if isinstance(spec_or_fn, MeanCurvSpec):
-        return spec_or_fn.value
-    return lambda s: np.asarray(spec_or_fn(np.asarray(s, dtype=float)), dtype=float)
-
-
-def mean_H_average(model: StaticModel, spec, r):
+def mean_H_average(model: StaticModel, spec: MeanCurvSpec, r):
     """Weighted integral mean of H over the ball of radius r, for each r.
 
     ``r`` is a radius (returns a float) or an array of radii (returns one
@@ -153,14 +147,14 @@ def mean_H_average(model: StaticModel, spec, r):
     flat = radii.ravel()
     order = np.argsort(flat)
     numerator = np.empty(flat.size)
-    numerator[order] = cumulative_quad(_flux_density(model, _h_of(spec)),
+    numerator[order] = cumulative_quad(_flux_density(model, spec.value),
                                        np.concatenate(([lo], flat[order])))[1:]
     vc = _volumes(model)
     mean = numerator.reshape(radii.shape) * vc.omega / vc.vol(radii)
     return float(mean) if radii.ndim == 0 else mean
 
 
-def flux_identity_check(graph: RadialGraph, spec, s0: float, s1: float,
+def flux_identity_check(graph: RadialGraph, spec: MeanCurvSpec, s0: float, s1: float,
                         tol: float = 1e-8) -> EstimateReport:
     """Boundary flux difference against m int H h (ball or annulus form).
 
@@ -181,11 +175,11 @@ def flux_identity_check(graph: RadialGraph, spec, s0: float, s1: float,
     p = smp.h * graph.slope[[graph.node_index(s) for s in ends]]
     flux = vc.omega * smp.w * smp.h * p / np.sqrt(1.0 - p * p)
     lhs = flux[1] - (0.0 if s0 == 0.0 else flux[0])
-    if isinstance(spec, MeanCurvSpec) and spec.is_zero:
+    if spec.is_zero:
         rhs = 0.0
     else:
         lo = max(s0, model.base.s_domain[0])
-        rhs = model.m * vc.omega * float(cumulative_quad(_flux_density(model, _h_of(spec)),
+        rhs = model.m * vc.omega * float(cumulative_quad(_flux_density(model, spec.value),
                                                          np.array([lo, s1]))[-1])
     margin = abs(lhs - rhs)
     return make_report(
@@ -424,6 +418,8 @@ def growth_diagnostics(model: StaticModel, r_max: float) -> GrowthDiagnostics:
     """
     if not model.base.pole_anchored:
         raise ValueError("growth_diagnostics needs a pole-anchored model")
+    if not r_max > 0:
+        raise ValueError(f"growth_diagnostics needs r_max > 0, got {r_max!r}")
     model.base.check_domain(r_max)
     vc = _volumes(model)
 

@@ -52,7 +52,7 @@ def make_report(name, lhs, rhs, margin, tol, grid_meta="", notes=()) -> Estimate
     )
 
 
-def precondition_failure(name, tol, grid_meta="", notes=()) -> EstimateReport:
+def precondition_failure(name, tol, notes=()) -> EstimateReport:
     return EstimateReport(
         name=name,
         lhs=float("nan"),
@@ -60,7 +60,6 @@ def precondition_failure(name, tol, grid_meta="", notes=()) -> EstimateReport:
         margin=float("nan"),
         tol=float(tol),
         verdict=False,
-        grid_meta=grid_meta,
         status=STATUS_PRECONDITION,
         notes=tuple(notes),
     )

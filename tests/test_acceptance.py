@@ -14,7 +14,7 @@ from staticlab import acceptance
 
 @pytest.mark.parametrize("number", sorted(acceptance.CRITERIA))
 def test_criterion(number, capsys):
-    result = acceptance.run_criterion(number, seed=42, tol_scale=1.0)
+    result = acceptance.run_criterion(number, seed=42)
     with capsys.disabled():
         print()
         print(result.line())

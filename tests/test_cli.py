@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from staticlab import cli
+from staticlab import cli, geometry
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 # exit code and reports.csv verdicts of each bundled scenario; the benchmark
 # checks its scenario runs against the same file
 EXPECTED = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "expected_verdicts.json")
@@ -85,37 +86,41 @@ def test_suite_quick(tmp_path, capsys):
 
 
 def test_rerun_byte_identical(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    for out in (out1, out2):
-        assert cli.main(["run", "euclidean_catenoid", "--out", str(out), "--seed", "7"]) == 0
-    name = "euclidean_catenoid"
-    for fn in ("reports.csv", "solution.csv"):
-        a = (out1 / name / fn).read_bytes()
-        b = (out2 / name / fn).read_bytes()
-        assert a == b, fn
+    # each bundled output tree is the same whatever ran before it in the process: the other
+    # scenarios in either order, or a Schwarzschild chart grown far past every bundled radius
+    chart, trees = geometry._chart(1.0, 3), []
+    for names in (BUNDLED, BUNDLED[::-1], BUNDLED):
+        if len(trees) == 2:
+            size = chart.table.nodes.size
+            geometry.schwarzschild_s_of_rho(1.0, 3, 5000.0)
+            assert chart.table.nodes.size > size
+        out = tmp_path / str(len(trees))
+        for name in names:
+            assert cli.main(["run", name, "--out", str(out)]) == 0, name
+        trees.append({p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert len(trees[0]) >= 2 * len(BUNDLED)
+    for tree in trees[1:]:
+        assert tree.keys() == trees[0].keys()
+        assert [rel for rel in tree if tree[rel] != trees[0][rel]] == []
 
 
-def test_tol_scale_accepted(tmp_path):
-    assert cli.main(["run", "euclidean_catenoid", "--out", str(tmp_path), "--tol-scale", "10"]) == 0
+# each of these once ran: --tol-scale moved check bounds, run --seed reached no scenario, and the
+# config was a second path to `staticlab suite`
+REMOVED_SPELLINGS = {
+    "run-tol-scale": (["run", "euclidean_catenoid", "--tol-scale", "10"], "unrecognized arguments: --tol-scale"),
+    "run-seed": (["run", "euclidean_catenoid", "--seed", "7"], "unrecognized arguments: --seed"),
+    "suite-tol-scale": (["suite", "quick", "--tol-scale", "10"], "unrecognized arguments: --tol-scale"),
+    "kind-suite-config": (["run", "suite.cfg"], "config error: [task] kind = suite: not one of"),
+}
 
 
-def test_tol_scale_below_floor_reports_fail(tmp_path):
-    # tol 1e-15 lies below the rounding floor: the solve returns and the
-    # report records the residual reached as a failed check
-    code = cli.main(["run", "euclidean_catenoid", "--out", str(tmp_path), "--tol-scale", "1e-6"])
-    assert code == 2
-    rows = (tmp_path / "euclidean_catenoid" / "reports.csv").read_text().splitlines()
-    verdicts = {row.split(",")[0]: row.split(",")[-1] for row in rows[1:]}
-    assert verdicts == {"elliptic-solve": "fail", "elliptic-telescope": "pass"}
-
-
-def test_suite_task_kind(tmp_path, capsys):
-    cfg = tmp_path / "suite.cfg"
-    cfg.write_text("[task]\nkind = suite\nname = quick\n")
-    code = cli.main(["run", str(cfg), "--out", str(tmp_path)])
-    out = capsys.readouterr().out
-    assert code == 0, out
-    assert (tmp_path / "suite_quick_summary.csv").exists()
+@pytest.mark.parametrize("case", REMOVED_SPELLINGS)
+def test_removed_spelling_exits_1(case, tmp_path, capsys, monkeypatch):
+    argv, err = REMOVED_SPELLINGS[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "suite.cfg").write_text("[task]\nkind = suite\n")
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert err in capsys.readouterr().err
 
 
 def test_plot_emits_svg(tmp_path):
@@ -142,6 +147,16 @@ GRAPH_TASK = ("\n[task]\nkind = solve-graph\nH0 = 0.5\nanchor = point\nF0 = 0.0\
 SCHWARZSCHILD_VERIFY = "\n[task]\nkind = verify\nbarrier_kind = schwarzschild\nrho1 = 3.0\nrho2 = 6.0\nH0 = 0.2\n"
 
 
+def test_solve_above_tol_reports_fail(tmp_path):
+    # the steep load's rounding floor lies above tol = 1e-9: the solve returns and the report
+    # records the residual reached as a failed check
+    task = "\n[task]\nkind = elliptic\ngrid_a = 0.5\ngrid_b = 4.0\ngrid_n = 701\nrhs = 6.0\n"
+    assert cli.main(["run", _write(tmp_path, HYPERBOLIC + task), "--out", str(tmp_path)]) == 2
+    rows = (tmp_path / "case" / "reports.csv").read_text().splitlines()
+    verdicts = {row.split(",")[0]: row.split(",")[-1] for row in rows[1:]}
+    assert verdicts == {"elliptic-solve": "fail", "elliptic-telescope": "pass"}
+
+
 def _bundled_text(name, old="", new=""):
     with open(cli.bundled_scenario(name)) as fh:
         text = fh.read()
@@ -150,7 +165,7 @@ def _bundled_text(name, old="", new=""):
 
 
 # case: (config text, the key the error names, a hint it gives); the comment says what the same
-# config did before the key table
+# config did before the key table rejected it
 CONFIG_DEFECTS = {
     # exit 0 at the default s_max = 20
     "typo-in-model": (HYPERBOLIC.replace("s_max = 10.0", "smax = 3") + GRAPH_TASK, "[model] smax", "s_max"),
@@ -183,6 +198,14 @@ CONFIG_DEFECTS = {
     # exit 0 at h = 1
     "warp-value-without-constant-warp": (HYPERBOLIC + "warp_value = 2.0\n" + GRAPH_TASK, "[model] warp_value",
                                          "warp=constant"),
+    # an uncaught ZeroDivisionError from log(vol(0)) / 0
+    "zero-r-max": (_bundled_text("growth_survey", "r_max = 100.0", "r_max = 0"), "[task] r_max", "positive"),
+    # exit 1 with numpy's "Geometric sequence cannot include zero"
+    "zero-cheeger-rmax": (_bundled_text("hyperbolic_cmc", "cheeger_rmax = 20.0", "cheeger_rmax = 0"),
+                          "[task] cheeger_rmax", "positive"),
+    # exit 1 after a divide RuntimeWarning
+    "zero-lambda1-rtrunc": (_bundled_text("hyperbolic_cmc", "lambda1_rtrunc = 15.0", "lambda1_rtrunc = 0"),
+                            "[task] lambda1_rtrunc", "positive"),
 }
 
 
@@ -213,19 +236,19 @@ def test_barrier_kind_builds_without_verifying(tmp_path, capsys):
 
 
 def test_unknown_key_hint_keeps_difflib_off_the_import_path():
-    code = "import sys, staticlab.cli; print('difflib' in sys.modules)"
+    # a scenario run pays for none of these: the suite and scipy load only where they are used
+    code = ("import sys, staticlab.cli; "
+            "print(*(m in sys.modules for m in ('difflib', 'staticlab.acceptance', 'scipy')))")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False"] * 3
 
 
 def _tags_text(tags):
     """'kind: a, b or profile: c' for a set of name=value tags, in the order KEYS lists them."""
     order = {f"{k.name}={v}": (i, j) for i, k in enumerate(cli.KEYS) if isinstance(k.type, tuple)
              for j, v in enumerate(k.type)}
-    if set(tags) == {tag for tag in order if tag.startswith("kind=")} - {"kind=suite"}:
-        return "kind: any but `suite`"
     names = {}
     for tag in sorted(tags, key=order.__getitem__):
         name, value = tag.split("=")
@@ -256,7 +279,14 @@ def key_row(k):
 
 def test_readme_lists_the_key_table():
     # the README's config-key reference is the table itself, so it cannot go stale
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme) as fh:
+    with open(README) as fh:
         rows = [line.rstrip("\n") for line in fh if line.startswith(("| `[model]`", "| `[task]`"))]
     assert rows == [key_row(k) for k in cli.KEYS]
+
+
+def test_readme_cli_block_is_the_usage():
+    # the README's CLI block is the usage of `staticlab --help`, so it cannot go stale
+    usage = [line.strip() for line in cli.__doc__.splitlines() if line.startswith("    staticlab ")]
+    with open(README) as fh:
+        block = fh.read().split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    assert block.splitlines() == usage

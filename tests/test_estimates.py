@@ -366,6 +366,11 @@ class TestGrowth:
         assert gd.hnotl1[1] == "diverging"
         assert gd.linfi[1] == "converging"
 
+    def test_zero_r_max_raises(self):
+        # log(vol(0)) / 0 would otherwise raise ZeroDivisionError
+        with pytest.raises(ValueError, match="r_max > 0"):
+            growth_diagnostics(_plane_model(hyperbolic_profile(1.0), 100.0), 0.0)
+
 
 class TestAngleBound:
     def test_euclid_slice_any_G(self, euclid_model):
