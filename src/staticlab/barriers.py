@@ -225,12 +225,15 @@ def build_barrier_schwarzschild(mu, m, rho1, rho2, beta, H0, rho_max=40.0, n=400
     f = (big_i + beta1) / w
 
     warnings = []
-    rho_probe = np.array([rho1 + 1.0, 1e2, 1e3, 1e4])
+    # int drho/V at 1e2, 1e3 and 1e4, on 16 log-spaced intervals per segment, so that
+    # few intervals need the adaptive refiner
+    edges = (rho1 + 1.0, 1e2, 1e3, 1e4)
+    rho_probe = np.concatenate([edges[:1]] + [np.geomspace(a, b, 17)[1:] for a, b in zip(edges, edges[1:])])
 
     def inv_v(t):
         return 1.0 / (1.0 - 2.0 * mu * np.asarray(t, dtype=float) ** (2 - m))
 
-    limhr_vals = cumulative_quad(inv_v, rho_probe, tol=1e-10)[1:]
+    limhr_vals = cumulative_quad(inv_v, rho_probe, tol=1e-10)[16::16]
     trend = _improper_trend(limhr_vals)
     warnings.append(
         f"(limhr) probe int drho/V over [{rho1 + 1.0}, 1e4] = {limhr_vals[-1]:.6g}, trend {trend}"

@@ -252,6 +252,8 @@ def cheeger_profile(model: StaticModel, r_max: float) -> CheegerProfile:
     """
     if not model.base.pole_anchored:
         raise ValueError("cheeger_profile needs a pole-anchored model")
+    if not r_max > 0:
+        raise ValueError(f"cheeger_profile needs r_max > 0, got {r_max!r}")
     model.base.check_domain(r_max)
     vc = _volumes(model)
     radii = np.geomspace(r_max / 50.0, r_max, CHEEGER_RADII)
@@ -308,7 +310,8 @@ def lambda1_estimate(model: StaticModel, r_trunc: float, mesh_n: int) -> float:
     """
     if not model.base.pole_anchored:
         raise ValueError("lambda1_estimate needs a pole-anchored model")
-
+    if not r_trunc > 0:
+        raise ValueError(f"lambda1_estimate needs r_trunc > 0, got {r_trunc!r}")
     model.base.check_domain(r_trunc)
 
     def weight(s):

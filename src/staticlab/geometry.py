@@ -83,18 +83,21 @@ def _chart_integrand(mu: float, m: int, rho_s: float):
 
 
 class _SchwarzschildChart:
-    """Cached bijection s(rho) = int_{rho_S}^{rho} dt/sqrt(V).
+    """Cached bijection s(rho) = int_{rho_S}^{rho} dt/sqrt(V) and its inverse.
 
     The substitution t = rho_S + w^2 removes the endpoint singularity and
-    leaves the smooth, positive integrand 2w/sqrt(V(rho_S + w^2)), whose
-    :class:`~staticlab.numerics.Antiderivative` in w is ``table``: s(rho) is
-    its forward map and rho(s) = rho_S + w^2 with w from its inverse.  The
-    integrand closes over (mu, m, rho_S), not over the chart, so a chart
-    holds no reference cycle.  The last inverse is memoised with the metric
-    factors sqrt(V) and V'/2 of its rho, keyed by the input values and the
-    table size, so that profile and warp evaluation of one sample array
-    solve for rho and form each factor once, and a grown table invalidates
-    the memo.
+    leaves the smooth, positive integrand f(w) = 2w/sqrt(V(rho_S + w^2)),
+    whose :class:`~staticlab.numerics.Antiderivative` in w is ``table``:
+    s(rho) is its forward map.  rho(s) is the quintic Hermite interpolant on
+    the table's nodes s_j, from closed forms of the table's entries:
+    rho_j = rho_S + w_j^2, rho'_j = sqrt V = 2 w_j / f(w_j) and
+    rho''_j = V'/2 = mu (m-2) rho_j^{1-m}.  It calls no integrand, and the
+    chart keeps no array but the table.  The integrand closes over
+    (mu, m, rho_S), not the chart, so a chart holds no reference cycle.  The
+    last rho(s) is memoised with the factors sqrt(V) and V'/2 of its rho,
+    keyed by the input values and the table size: profile and warp
+    evaluation of one sample array form each once, and a grown table
+    invalidates the memo.
     """
 
     def __init__(self, mu: float, m: int):
@@ -116,18 +119,45 @@ class _SchwarzschildChart:
             raise DomainError(f"rho <= rho_S = {self.rho_s!r}: inside horizon")
         return self.table(np.sqrt(rho_arr - self.rho_s))
 
+    def _rho(self, s: np.ndarray) -> np.ndarray:
+        """rho(s) on the table interval [s_j, s_{j+1}] of each s, with t = (s - s_j)/h."""
+        sv, w, f = self.table.values, self.table.nodes, self.table.f_nodes
+        j = np.minimum(np.interp(s, sv, np.arange(sv.size)).astype(np.intp), sv.size - 2)
+        j1 = j + 1
+        w0, w1, s0 = w[j], w[j1], sv[j]
+        h = sv[j1] - s0
+        t = (s - s0) / h
+        # Taylor data at both ends in t: value, h rho' = v and h^2 rho''/2 = e
+        q0, q1 = w0 * w0, w1 * w1
+        h2 = 2.0 * h
+        v0, v1 = h2 * w0 / f[j], h2 * w1 / f[j1]
+        c = 0.5 * self.mu * (self.m - 2) * h * h
+        e0 = c * (self.rho_s + q0) ** (1 - self.m)
+        e1 = c * (self.rho_s + q1) ** (1 - self.m)
+        # rho = rho_S + q0 + v0 t + e0 t^2 + t^3 S(t): S takes up what the left Taylor
+        # quadratic misses of the right end's value (dq), slope (dv) and e, in u = 1 - t
+        dq = q1 - q0 - v0 - e0
+        dv = v1 - v0 - 2.0 * e0
+        a = 3.0 * dq - dv
+        u = 1.0 - t
+        tail = dq + u * (a + u * (2.0 * a - dv + (e1 - e0)))
+        return np.asarray(self.rho_s + (q0 + t * (v0 + t * (e0 + t * tail))))
+
     def factors(self, s) -> tuple:
         """rho, sqrt V(rho) and V'(rho)/2 = mu (m-2) rho^{1-m} at s.
 
-        The arrays are the memo's own: callers must copy what they hand out.
+        The table grows until it covers max(s).  The arrays are the memo's
+        own: callers must copy what they hand out.
         """
         s_arr = np.asarray(s, dtype=float)
         memo = self._memo
         if memo is None or memo[0] != self.table.nodes.size or not np.array_equal(memo[1], s_arr):
-            if np.any(s_arr <= 0):
-                raise DomainError("rho_of_s needs s > 0 (s = 0 is the horizon)")
-            w = np.maximum(self.table.inverse(s_arr), 1e-15)
-            rho = np.asarray(self.rho_s + w * w)
+            top = float(np.max(s_arr))
+            if not (np.all(s_arr > 0) and top < np.inf):
+                raise DomainError("rho_of_s needs finite s > 0 (s = 0 is the horizon)")
+            while self.table.values[-1] < top:
+                self.table.grow()
+            rho = self._rho(s_arr)
             found = (rho, np.sqrt(_schw_V(self.mu, self.m, rho)), self.mu * (self.m - 2) * rho ** (1 - self.m))
             memo = self._memo = (self.table.nodes.size, s_arr.copy(), found)
         return memo[2]
@@ -150,8 +180,8 @@ def schwarzschild_s_of_rho(mu: float, m: int, rho):
 def schwarzschild_rho_of_s(mu: float, m: int, s):
     """Area radius rho of the geodesic radial coordinate s > 0.
 
-    Inverts the chart's antiderivative table: a cubic Hermite start from the
-    cached node values and one Newton step on the exact forward map.
+    The quintic Hermite interpolant of rho on the chart table's nodes, from
+    closed-form node data; the table grows to cover s.
     """
     return _chart(mu, m).rho_of_s(s)
 
@@ -311,9 +341,9 @@ def constant_warp(c: float = 1.0) -> Warp:
 def schwarzschild_warp(mu: float, m: int) -> Warp:
     """h = sqrt(V(rho(s))) on the exterior; h' = V'/2, h'' = (V''/2) sqrt(V).
 
-    The three callables share the chart's memoised inverse and factors, so
-    evaluating them (and the profile) on one sample array solves for rho and
-    forms sqrt(V) and V'/2 once.
+    The three callables share the chart's memoised rho(s) and factors, so
+    evaluating them (and the profile) on one sample array interpolates rho
+    and forms sqrt(V) and V'/2 once.
     """
     chart = _chart(mu, m)
 

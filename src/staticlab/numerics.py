@@ -209,49 +209,47 @@ def _serving(f, nodes: np.ndarray, f_nodes: np.ndarray):
     return lambda x: f_nodes if x is nodes else f(x)
 
 
+def _order3_increment(h1, h2, y_far, y_near, y_end):
+    """Integral from the node ``y_near`` to the node ``y_end``, h2 further on, of the
+    quadratic through them and the node ``y_far``, h1 behind ``y_near``: Lagrange weights."""
+    hs = h1 + h2
+    return h2 / 6.0 * ((h2 + 3.0 * h1) / h1 * y_near + (3.0 * h1 + 2.0 * h2) / hs * y_end
+                       - h2 * h2 / (h1 * hs) * y_far)
+
+
 def cumulative_order3(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Third-order cumulative integral of node samples.
 
     Integrates the quadratic through three neighbouring nodes over each
-    interval (one-sided at the left edge).  Deliberately grid-limited: the
-    error scales as h^3, so mesh-refinement studies of sampled solutions see
-    the quadrature order rather than roundoff.
+    interval: nodes i-1, i, i+1 over [s_i, s_{i+1}], and nodes 0, 1, 2 over
+    the first.  Each increment reads its three nodes only and the running sum
+    is one sequential ``np.cumsum``, so the first j+1 nodes give the first
+    j+1 outputs, bitwise.  Deliberately grid-limited: the error scales as
+    h^3, so mesh-refinement studies of sampled solutions see the quadrature
+    order rather than roundoff.
     """
     s = np.asarray(nodes, dtype=float)
     y = np.asarray(values, dtype=float)
-    n = s.size
-    out = np.zeros(n)
-    idx = np.arange(n - 1)
-    j0 = np.where(idx == 0, 0, idx - 1)
-    j1 = j0 + 1
-    j2 = j0 + 2
-    x0, x1, x2 = s[j0], s[j1], s[j2]
-    y0, y1, y2 = y[j0], y[j1], y[j2]
-    c1 = (y1 - y0) / (x1 - x0)
-    c2 = ((y2 - y1) / (x2 - x1) - c1) / (x2 - x0)
-    lo, hi = s[:-1], s[1:]
-
-    def prim(t):
-        # antiderivative of y0 + c1 (t-x0) + c2 (t-x0)(t-x1)
-        return (
-            y0 * t
-            + 0.5 * c1 * (t - x0) ** 2
-            + c2 * (t**3 / 3.0 - 0.5 * (x0 + x1) * t**2 + x0 * x1 * t)
-        )
-
-    out[1:] = np.cumsum(prim(hi) - prim(lo))
+    h = np.diff(s)
+    inc = np.empty(h.size)
+    inc[0] = _order3_increment(h[1], h[0], y[2], y[1], y[0])
+    inc[1:] = _order3_increment(h[:-1], h[1:], y[:-2], y[1:-1], y[2:])
+    out = np.empty(s.size)
+    out[0] = 0.0
+    np.cumsum(inc, out=out[1:])
     return out
 
 
 class Antiderivative:
     """Cached antiderivative I(x) = int_{a}^{x} f on [a, b], array-friendly.
 
-    The table holds the nodes, the node values of I from
-    :func:`cumulative_quad` and the values of ``f`` at the nodes, taken from
-    the same evaluation that built I.  Off-node queries add a two-panel
-    Simpson correction from the nearest node below, whose left-end sample is
-    the cached node value of ``f``.  The table extends itself geometrically
-    when queried past its end.
+    The table holds the uniform nodes x_j, the node values I(x_j) from
+    :func:`cumulative_quad` and the node values f(x_j), taken from the same
+    evaluation that built I; callers may read all three.  Off-node queries
+    add a two-panel Simpson correction from the nearest node below, whose
+    left-end sample is the cached node value of ``f``.  :meth:`grow` doubles
+    the span, at the same node density; a query past the end grows the table
+    until it covers the query.
     """
 
     def __init__(self, fn, a: float, b: float, n: int = 2048, tol: float = 1e-13):
@@ -269,61 +267,24 @@ class Antiderivative:
         self.nodes = nodes
         self.f_nodes = f_nodes
 
-    def _grow(self):
+    def grow(self):
         self._build(self.a + 2.0 * (self.nodes[-1] - self.a))
-
-    def _forward(self, x: np.ndarray, fx: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """I(x) for x inside the table, given fx = f(x) and the interval index of x."""
-        lo = self.nodes[idx]
-        h = x - lo
-        f1 = self.fn(lo + 0.25 * h)
-        f2 = self.fn(lo + 0.5 * h)
-        f3 = self.fn(lo + 0.75 * h)
-        inc = h * (self.f_nodes[idx] + 4.0 * f1 + 2.0 * f2 + 4.0 * f3 + fx) / 12.0
-        return self.values[idx] + inc
 
     def __call__(self, x):
         x_arr = np.asarray(x, dtype=float)
         top = float(np.max(x_arr))
         while top > self.nodes[-1] + 1e-12:
-            self._grow()
+            self.grow()
         if np.any(x_arr < self.a - 1e-12):
             raise ValueError("Antiderivative queried below its base point")
         xc = np.clip(x_arr, self.a, self.nodes[-1])
         idx = np.clip(np.searchsorted(self.nodes, xc, side="right") - 1, 0, self.nodes.size - 2)
-        out = self._forward(xc, self.fn(xc), idx)
+        lo = self.nodes[idx]
+        h = xc - lo
+        inc = h * (self.f_nodes[idx] + 4.0 * self.fn(lo + 0.25 * h) + 2.0 * self.fn(lo + 0.5 * h)
+                   + 4.0 * self.fn(lo + 0.75 * h) + self.fn(xc)) / 12.0
+        out = self.values[idx] + inc
         return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
-
-    def inverse(self, y):
-        """x with I(x) = y, for a positive integrand ``f``.
-
-        Starts from the cubic Hermite interpolant of the table read as x(I),
-        with slopes 1/f at the nodes, clipped into its interval, and takes one
-        Newton step on the forward map; f(x) serves both the Simpson
-        correction and the derivative, so each point costs four calls' worth
-        of ``f``.  The start lies in its interval [x0, x1], so the forward map
-        reads that interval, or the next one where x == x1 (as a search of the
-        nodes would), without searching again.  The table grows until it
-        covers max(y).
-        """
-        y_arr = np.asarray(y, dtype=float)
-        top = float(np.max(y_arr))
-        while self.values[-1] < top:
-            self._grow()
-        idx = np.clip(np.searchsorted(self.values, y_arr, side="right") - 1, 0, self.nodes.size - 2)
-        x0, x1 = self.nodes[idx], self.nodes[idx + 1]
-        y0 = self.values[idx]
-        dy = self.values[idx + 1] - y0
-        d0 = dy / self.f_nodes[idx]
-        d1 = dy / self.f_nodes[idx + 1]
-        dx = x1 - x0
-        t = (y_arr - y0) / dy
-        x = x0 + t * (d0 + t * ((3.0 * dx - 2.0 * d0 - d1) + t * (d0 + d1 - 2.0 * dx)))
-        x = np.clip(x, x0, x1)
-        fx = self.fn(x)
-        idx = np.minimum(idx + (x >= x1), self.nodes.size - 2)
-        out = x - (self._forward(x, fx, idx) - y_arr) / fx
-        return float(out) if np.isscalar(y) or y_arr.ndim == 0 else out
 
 
 def brentq(f, a: float, b: float, xtol: float) -> float:

@@ -104,6 +104,23 @@ def test_rerun_byte_identical(tmp_path):
         assert [rel for rel in tree if tree[rel] != trees[0][rel]] == []
 
 
+def test_fresh_process_tree_matches_warm_process(tmp_path):
+    # the schwarzschild_barrier tree of a fresh interpreter is the one written after the
+    # other six scenarios have filled this process's chart and volume caches
+    warm = tmp_path / "warm"
+    for name in [n for n in BUNDLED if n != "schwarzschild_barrier"] + ["schwarzschild_barrier"]:
+        assert cli.main(["run", name, "--out", str(warm)]) == 0, name
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = tmp_path / "fresh"
+    proc = subprocess.run([sys.executable, "-m", "staticlab.cli", "run", "schwarzschild_barrier", "--out", str(fresh)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    trees = [{p.relative_to(out).as_posix(): p.read_bytes() for p in (out / "schwarzschild_barrier").rglob("*")
+              if p.is_file()} for out in (warm, fresh)]
+    assert len(trees[0]) >= 2 and trees[1] == trees[0]
+
+
 # each of these once ran: --tol-scale moved check bounds, run --seed reached no scenario, and the
 # config was a second path to `staticlab suite`
 REMOVED_SPELLINGS = {

@@ -232,6 +232,11 @@ class TestCheeger:
         prof = cheeger_profile(euclid_model, 20.0)
         assert prof.c_hat == pytest.approx(2.0 / 20.0, rel=1e-6)
 
+    def test_zero_r_max_raises(self, hyperbolic_model):
+        # np.geomspace(0, 0) would otherwise fail in numpy's words
+        with pytest.raises(ValueError, match="r_max > 0"):
+            cheeger_profile(hyperbolic_model, 0.0)
+
     def test_pole_asymptotics(self, hyperbolic_model):
         from staticlab.estimates import _volumes
 
@@ -262,6 +267,11 @@ class TestLambda1:
         ones = lambda s: np.ones_like(np.asarray(s, dtype=float))
         for n in (400, 800):
             assert dirichlet_lambda1(ones, math.pi, n) == pytest.approx(0.25, abs=1e-6)
+
+    def test_zero_r_trunc_raises(self, hyperbolic_model):
+        # a zero mesh width would otherwise reach LAPACK as infs and NaNs
+        with pytest.raises(ValueError, match="r_trunc > 0"):
+            lambda1_estimate(hyperbolic_model, 0.0, 400)
 
     def test_mesh_floor(self, hyperbolic_model):
         with pytest.raises(ValueError):

@@ -52,6 +52,48 @@ class TestSchwarzschildChart:
             np.testing.assert_allclose(chart.rho_of_s(closed_form(mu, rho)), rho, rtol=2e-14, atol=0.0)
             assert chart.table.nodes.size > nodes_before
 
+    def test_rho_of_s_closed_form_m3(self):
+        rho = 2.0 + np.geomspace(1e-9, 498.0, 4000)
+        back = _SchwarzschildChart(1.0, 3).rho_of_s(closed_form_s_m3(1.0, rho))
+        assert np.max(np.abs(back - rho) / rho) <= 5e-15
+
+    @pytest.mark.parametrize("mu, m", [(0.7, 4), (1.3, 5), (0.5, 6), (0.05, 3)])
+    def test_round_trip_within_1e_15(self, mu, m):
+        chart = _SchwarzschildChart(mu, m)
+        # from s = 2 rho_S out: nearer the horizon the rounding of rho alone moves
+        # s_of_rho by eps rho / (s sqrt V) relative, which passes 1e-15 below s ~ rho_S
+        s = chart.rho_s * np.geomspace(2.0, 300.0, 2000)
+        back = chart.s_of_rho(chart.rho_of_s(s))
+        assert np.max(np.abs(back - s) / s) <= 1e-15
+
+    @pytest.mark.parametrize("mu, m", [(1.0, 3), (0.7, 4), (1.3, 5), (0.05, 3)])
+    def test_tiny_s_stays_outside_horizon(self, mu, m):
+        chart = _SchwarzschildChart(mu, m)
+        rho = chart.rho_of_s(np.array([1e-300, 1e-200, 1e-130]))
+        assert np.all(np.isfinite(rho)) and np.all(rho >= chart.rho_s)
+
+    def test_non_finite_s_raises(self):
+        chart = _SchwarzschildChart(1.0, 3)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(DomainError, match="s > 0"):
+                chart.rho_of_s(np.array([1.0, bad]))
+
+    def test_warm_chart_solve_calls_no_integrand(self, schwarzschild_model, monkeypatch):
+        from staticlab.geometry import _chart
+        from staticlab.graphs import Anchor, constant_H, solve_radial_graph
+        from staticlab.numerics import Grid
+
+        chart = _chart(1.0, 3)
+        chart.rho_of_s(80.0)  # the table covers the model's domain
+        s1 = schwarzschild_s_of_rho(1.0, 3, 3.0)  # the forward map calls the integrand
+        calls = []
+        fn = chart.table.fn
+        monkeypatch.setattr(chart.table, "fn", lambda w: calls.append(np.size(w)) or fn(w))
+        graph = solve_radial_graph(schwarzschild_model, constant_H(0.2), Anchor.point(s1, 0.0, 0.0),
+                                   Grid.uniform(s1, 60.0, 1601))
+        assert graph.flux[-1] > 0.0
+        assert calls == []
+
     def test_spec_value(self):
         assert schwarzschild_s_of_rho(1.0, 3, 4.0) == pytest.approx(4.5911743, abs=1e-6)
 
