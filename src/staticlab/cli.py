@@ -92,7 +92,7 @@ KEYS = (
     Key("task", "bg_G0", "finite", 1.0, (_ESTIMATES,)),
     Key("task", "cheeger_rmax", "positive", 20.0, (_ESTIMATES,)),
     Key("task", "lambda1_rtrunc", "positive", 15.0, (_ESTIMATES,)),
-    Key("task", "lambda1_n", "int>=1", 1500, (_ESTIMATES,)),
+    Key("task", "lambda1_n", "int>=200", 1500, (_ESTIMATES,)),
     Key("task", "r_max", "positive", 100.0, (_is("kind", "growth"),)),
     Key("task", "t0", "finite", 0.0, (_is("t0_mode", "explicit"),)),
     Key("task", "G", "finite", 1.0, (_ANGLE,)),
@@ -249,6 +249,11 @@ def _task_barrier(cfg, model, outdir):
 
 def _task_estimates(cfg, model, outdir):
     t = cfg["task"]
+    for key in ("cheeger_rmax", "lambda1_rtrunc"):
+        try:
+            model.base.check_domain(t[key])
+        except geometry.DomainError as exc:
+            raise ConfigError(f"[task] {key} = {t[key]!r}: {exc}") from exc
     g, spec = _solve_graph(cfg, model, outdir)
     r0, r1 = t["radii"][0], t["radii"][-1]
     reports = [

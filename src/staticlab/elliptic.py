@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import StaticModel
-from .numerics import Grid, SampledFunction, tridiag_solve
+from .numerics import Grid, SampledFunction
 from .reporting import EstimateReport, make_report, precondition_failure, write_table
 
 __all__ = [
@@ -58,7 +58,9 @@ class MeshOperator:
 
     ``w_nodes``/``w_faces`` sample the radial measure g^{m-1}; ``q_faces``
     the coefficient (the warp h) at face midpoints.  ``slope_cap`` is
-    ``SLOPE_CAP`` for every operator.
+    ``SLOPE_CAP`` for every operator.  The arrays no Newton step changes are
+    formed once: ``ds_faces`` (face widths), ``q2_faces`` (q^2),
+    ``w_ds`` (w ds at interior nodes) and ``slope_limits`` (cap / q).
     """
 
     grid: Grid
@@ -68,33 +70,30 @@ class MeshOperator:
     slope_cap = SLOPE_CAP
 
     def __post_init__(self):
-        ds = np.diff(self.grid.nodes)
+        s = self.grid.nodes
+        ds = np.diff(s)
         if np.max(ds) > 10.0 * np.min(ds):
             raise ValueError("degenerate mesh: cell sizes vary by more than 10x")
-        for name, arr, size in (
-            ("w_nodes", self.w_nodes, len(self.grid)),
-            ("w_faces", self.w_faces, len(self.grid) - 1),
-            ("q_faces", self.q_faces, len(self.grid) - 1),
+        for name, arr, size, hint in (
+            ("w_nodes", self.w_nodes, len(self.grid), " (keep the pole off the mesh)"),
+            ("w_faces", self.w_faces, len(self.grid) - 1, ""),
+            ("q_faces", self.q_faces, len(self.grid) - 1, ""),
         ):
             a = np.asarray(arr, dtype=float)
             object.__setattr__(self, name, a)
             if a.size != size:
                 raise ValueError(f"{name} has wrong length")
-            if np.any(a <= 0) and name != "w_nodes":
-                raise ValueError(f"{name} must be positive")
-        if np.any(self.w_nodes <= 0):
-            raise ValueError("w_nodes must be positive (keep the pole off the mesh)")
+            if np.any(a <= 0):
+                raise ValueError(f"{name} must be positive{hint}")
+        object.__setattr__(self, "ds_faces", ds)
+        object.__setattr__(self, "q2_faces", self.q_faces**2)
+        object.__setattr__(self, "w_ds", self.w_nodes[1:-1] * (0.5 * (s[2:] - s[:-2])))  # dual cells at interior nodes
+        object.__setattr__(self, "slope_limits", self.slope_cap / self.q_faces)
 
     @classmethod
     def from_model(cls, model: StaticModel, grid: Grid) -> "MeshOperator":
         at_faces = model.sample(0.5 * (grid.nodes[:-1] + grid.nodes[1:]))
         return cls(grid=grid, w_nodes=model.sample(grid.nodes).w, w_faces=at_faces.w, q_faces=at_faces.h)
-
-    @property
-    def ds_cells(self) -> np.ndarray:
-        """Dual-cell widths (s_{i+1} - s_{i-1})/2 at interior nodes."""
-        s = self.grid.nodes
-        return 0.5 * (s[2:] - s[:-2])
 
 
 def _node_values(u) -> np.ndarray:
@@ -109,7 +108,7 @@ def _load(op: MeshOperator, rhs) -> np.ndarray:
 
 
 def face_slopes(op: MeshOperator, u: np.ndarray) -> np.ndarray:
-    return np.diff(np.asarray(u, dtype=float)) / np.diff(op.grid.nodes)
+    return np.diff(np.asarray(u, dtype=float)) / op.ds_faces
 
 
 def _face_flux(op: MeshOperator, u: np.ndarray) -> np.ndarray:
@@ -118,7 +117,7 @@ def _face_flux(op: MeshOperator, u: np.ndarray) -> np.ndarray:
     over = np.abs(qd) > op.slope_cap
     if np.any(over):
         raise SlopeCapError(np.flatnonzero(over))
-    return op.q_faces**2 * d / np.sqrt(1.0 - qd * qd)
+    return op.q2_faces * d / np.sqrt(1.0 - qd * qd)
 
 
 def residual(op: MeshOperator, u, rhs) -> np.ndarray:
@@ -130,7 +129,7 @@ def residual(op: MeshOperator, u, rhs) -> np.ndarray:
     rv = _load(op, rhs)
     phi = _face_flux(op, uv)
     flux = op.w_faces * phi
-    return (flux[1:] - flux[:-1]) / (op.w_nodes[1:-1] * op.ds_cells) - rv[1:-1]
+    return (flux[1:] - flux[:-1]) / op.w_ds - rv[1:-1]
 
 
 def divergence_telescope(op: MeshOperator, u, rhs) -> float:
@@ -143,8 +142,8 @@ def divergence_telescope(op: MeshOperator, u, rhs) -> float:
     rv = _load(op, rhs)
     r = residual(op, uv, rv)
     flux = op.w_faces * _face_flux(op, uv)
-    lhs = float(np.sum(op.w_nodes[1:-1] * op.ds_cells * r))
-    rhs_val = float(flux[-1] - flux[0] - np.sum(op.w_nodes[1:-1] * op.ds_cells * rv[1:-1]))
+    lhs = float(np.sum(op.w_ds * r))
+    rhs_val = float(flux[-1] - flux[0] - np.sum(op.w_ds * rv[1:-1]))
     return abs(lhs - rhs_val)
 
 
@@ -163,35 +162,42 @@ class DirichletProblem:
             raise ValueError("rhs and boundary values must be finite")
 
 
-def _tridiag_apply(lower, diag, upper, x) -> np.ndarray:
-    y = diag * x
-    y[:-1] += upper * x[1:]
-    y[1:] += lower * x[:-1]
-    return y
-
-
 def _jacobian_bands(op: MeshOperator, u: np.ndarray):
-    d = face_slopes(op, u)
-    qd = op.q_faces * d
-    dphi = op.q_faces**2 / (1.0 - qd * qd) ** 1.5  # dPhi/dd > 0: discrete ellipticity
-    ds_face = np.diff(op.grid.nodes)
-    coeff = op.w_faces * dphi / ds_face
-    denom = op.w_nodes[1:-1] * op.ds_cells
-    diag = -(coeff[1:] + coeff[:-1]) / denom
-    upper = coeff[1:-1] / denom[:-1]
-    lower = coeff[1:-1] / denom[1:]
-    return lower, diag, upper
+    """Bands of -S, where the residual's Jacobian is D^{-1} S with D = w ds: S_ii = -(c_i + c_{i+1}) and
+    S_{i,i+1} = c_{i+1} for the face coefficients c = w dPhi/dd / ds > 0, so -S is positive definite."""
+    qd = op.q_faces * face_slopes(op, u)
+    dphi = op.q2_faces / (1.0 - qd * qd) ** 1.5  # dPhi/dd > 0: discrete ellipticity
+    coeff = op.w_faces * dphi / op.ds_faces
+    return coeff[1:] + coeff[:-1], -coeff[1:-1]
+
+
+def _spd_solve(diag, off, rhs) -> np.ndarray:
+    """Solve a positive definite tridiagonal system by one LDL^T factorisation (LAPACK ``dpttrf``).
+
+    ``dpttrs`` solves with the factors, and again for one sweep of iterative
+    refinement: near-null Jacobians are badly conditioned and a single direct
+    solve loses digits the Newton iteration cannot recover on its own.  A
+    matrix that is not positive definite raises ``NewtonStagnationError``.
+    """
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
+    d, e, info = dpttrf(diag, off if off.size else np.zeros(1))  # the wrapper rejects an empty band
+    if info != 0:
+        raise NewtonStagnationError(f"Jacobian not definite: pivot {info} of {diag.size} fails")
+    x = dpttrs(d, e, rhs)[0]
+    lin_res = diag * x - rhs
+    lin_res[:-1] += off * x[1:]
+    lin_res[1:] += off * x[:-1]
+    return x - dpttrs(d, e, lin_res)[0]
 
 
 def _clip_step(op: MeshOperator, u: np.ndarray, delta_interior: np.ndarray) -> float:
     """Largest step fraction keeping every face slope within the cap."""
     delta = np.zeros_like(u)
     delta[1:-1] = delta_interior
-    d_u = face_slopes(op, u)
-    d_delta = np.diff(delta) / np.diff(op.grid.nodes)
-    cap = op.slope_cap / op.q_faces
+    d_u, d_delta = face_slopes(op, u), face_slopes(op, delta)
     moving = d_delta != 0.0
-    d_u, dd, cap = d_u[moving], d_delta[moving], cap[moving]
+    d_u, dd, cap = d_u[moving], d_delta[moving], op.slope_limits[moving]
     # |du + alpha dd| <= c holds up to the larger of the two roots
     hi = (cap - d_u) / dd
     lo = (-cap - d_u) / dd
@@ -207,22 +213,16 @@ def _solve_fixed_rhs(problem: DirichletProblem, u0: np.ndarray, tol: float, max_
         norm = float(np.max(np.abs(r)))
         if norm <= tol:
             return u
-        lower, diag, upper = _jacobian_bands(op, u)
+        diag, off = _jacobian_bands(op, u)
         # rounding u_i by eps |u| moves r_i by up to eps max|u| max|J_ii|:
         # below this no step can be told from rounding noise
-        floor = np.finfo(float).eps * float(np.max(np.abs(u))) * float(np.max(np.abs(diag)))
-        delta = tridiag_solve(lower, diag, upper, -r)
-        # one sweep of iterative refinement: near-null Jacobians are badly
-        # conditioned and a single direct solve loses digits the Newton
-        # iteration cannot recover on its own
-        lin_res = _tridiag_apply(lower, diag, upper, delta) + r
-        delta -= tridiag_solve(lower, diag, upper, lin_res)
+        floor = np.finfo(float).eps * float(np.max(np.abs(u))) * float(np.max(diag / op.w_ds))
+        # J delta = -r with J = D^{-1} S is (-S) delta = D r
+        delta = _spd_solve(diag, off, op.w_ds * r)
         clip = _clip_step(op, u, delta)
         alpha = 1.0 if clip >= 1.0 else 0.999 * clip
         if alpha <= 0:
-            raise NewtonStagnationError(
-                f"step fully clipped by the spacelike cap (residual {norm:.3e})"
-            )
+            raise NewtonStagnationError(f"step fully clipped by the spacelike cap (residual {norm:.3e})")
         # backtracking on the residual norm
         while alpha > 1e-14:
             trial = u.copy()
@@ -233,8 +233,7 @@ def _solve_fixed_rhs(problem: DirichletProblem, u0: np.ndarray, tol: float, max_
                 alpha *= 0.5
                 continue
             if float(np.max(np.abs(r_trial))) < norm:
-                u = trial
-                r = r_trial
+                u, r = trial, r_trial
                 break
             if norm <= floor:
                 return u
@@ -252,15 +251,18 @@ def _solve_fixed_rhs(problem: DirichletProblem, u0: np.ndarray, tol: float, max_
 def newton_solve(problem: DirichletProblem, tol: float = 1e-9, max_iter: int = 60) -> SampledFunction:
     """Damped Newton with analytic tridiagonal Jacobian and load continuation.
 
-    The cold start is the linear interpolant of the boundary data (which must
-    itself be spacelike).  Iteration stops once the max-norm residual is at
+    The Jacobian is D^{-1} S with D = w ds and S symmetric negative
+    definite, so each step solves (-S) delta = D r by one LDL^T
+    factorisation.  The cold start is the linear interpolant of the boundary
+    data (which must itself be spacelike).  Iteration stops once the max-norm residual is at
     most ``tol``, or at the rounding floor eps max|u| max|J_ii| (about
     eps |u| / ds^2): a step that fails to lower a residual already below the
     floor returns the current iterate.  The floor is an exit, never the
     target; callers read the residual reached from :func:`residual`.  If the
     cold solve raises, the load is ramped in four continuation stages with
     warm starts.  ``NewtonStagnationError`` means the iteration budget ran
-    out, descent failed above the floor, or the step was fully clipped.
+    out, descent failed above the floor, the step was fully clipped, or the
+    factorisation found -S not positive definite.
     """
     op = problem.operator
     s = op.grid.nodes

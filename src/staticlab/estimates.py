@@ -25,7 +25,7 @@ import numpy as np
 from .barriers import ComparisonModel, _improper_trend
 from .geometry import StaticModel, base_curvature, modified_bakry_emery
 from .graphs import MeanCurvSpec, RadialGraph, _flux_density
-from .numerics import Antiderivative, cumulative_quad
+from .numerics import Antiderivative, brentq, cumulative_quad
 from .reporting import EstimateReport, make_report
 
 __all__ = [
@@ -265,41 +265,58 @@ def cheeger_profile(model: StaticModel, r_max: float) -> CheegerProfile:
     return CheegerProfile(radii=radii, ratios=ratios, c_hat=float(np.min(ratios)), assumption=assumption)
 
 
+def _symmetric_bands(weight_fn, r_trunc: float, mesh_n: int):
+    """Bands of T = M^{-1/2} A M^{-1/2} and the diagonal of M^{1/2}, where face-centred finite
+    differences give A v = lambda M v on v_0 .. v_{n-1} with v_n = 0 and no flux through the left
+    end; T stays O(1/ds^2)-scaled however fast the weight grows."""
+    ds = r_trunc / mesh_n
+    s = np.linspace(0.0, r_trunc, mesh_n + 1)
+    wf = np.asarray(weight_fn(s[:-1] + 0.5 * ds), dtype=float)
+    wn = np.asarray(weight_fn(s), dtype=float)
+    mass = wn[:mesh_n].copy()
+    mass[0] = 0.5 * (wn[0] if wn[0] != 0.0 else float(weight_fn(np.asarray([0.25 * ds]))[0]))
+    diag = np.append(wf[0], wf[:-1] + wf[1:]) / ds**2
+    upper = -wf[:-1] / ds**2  # face i lies between unknowns v_i and v_{i+1}
+    root = np.sqrt(mass)
+    return diag / mass, upper / (root[:-1] * root[1:]), root
+
+
 def dirichlet_lambda1(weight_fn, r_trunc: float, mesh_n: int) -> float:
     """Lowest eigenvalue of -(1/w)(w v')' on (0, r_trunc), Dirichlet at r_trunc.
 
     The left end takes the natural (zero-flux) condition, the pole condition.
-    Finite differences with face-centred weights give A v = lambda M v with
-    A symmetric tridiagonal and M diagonal; the lowest eigenvalue of the
-    symmetrised matrix M^{-1/2} A M^{-1/2} comes from LAPACK.
+    For T of :func:`_symmetric_bands`, T - sigma is positive definite (LAPACK's LDL^T
+    ``dpttrf`` succeeds) exactly when sigma < lambda1: Sturm bisection (Barth, Martin
+    and Wilkinson 1967) halves [0, Rayleigh quotient of cos(pi s / 2 r_trunc)] until
+    only the last pivot of T - sigma, factored in reversed row order, fails.  That pivot
+    is continuous and decreasing on the bracket and zero at lambda1, where
+    :func:`~staticlab.numerics.brentq` finds it to eps ||T||_inf.
     """
-    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dpttrf
 
     if mesh_n < 200:
         raise ValueError("mesh_n >= 200 required")
-    ds = r_trunc / mesh_n
-    s = np.linspace(0.0, r_trunc, mesh_n + 1)
-    faces = s[:-1] + 0.5 * ds
-    wf = np.asarray(weight_fn(faces), dtype=float)
-    wn = np.asarray(weight_fn(s), dtype=float)
+    diag, off, root = _symmetric_bands(weight_fn, r_trunc, mesh_n)
 
-    # unknowns v_0 .. v_{n-1}; v_n = 0; zero flux through the left end
-    mass = wn[:mesh_n].copy()
-    if wn[0] == 0.0:
-        mass[0] = 0.5 * float(weight_fn(np.asarray([0.25 * ds]))[0])
-    else:
-        mass[0] = 0.5 * wn[0]
-    diag = np.empty(mesh_n)
-    diag[0] = wf[0] / ds**2
-    diag[1:] = (wf[:-1] + wf[1:]) / ds**2
-    # face between unknowns v_i and v_{i+1} is face i
-    upper = -wf[: mesh_n - 1] / ds**2
+    def factor(sigma):
+        pivots, _, info = dpttrf(diag[::-1] - sigma, off[::-1])
+        return info, float(pivots[-1])
 
-    # M^{-1/2} A M^{-1/2} stays O(1)-scaled however fast the weight grows
-    root = np.sqrt(mass)
-    lam = eigh_tridiagonal(diag / mass, upper / (root[:-1] * root[1:]),
-                           eigvals_only=True, select="i", select_range=(0, 0))
-    return float(lam[0])
+    eps = float(np.finfo(float).eps)
+    xtol = eps * float(np.max(diag + np.abs(np.pad(off, (0, 1))) + np.abs(np.pad(off, (1, 0)))))
+    x = np.cos(0.5 * np.pi / r_trunc * np.linspace(0.0, r_trunc, mesh_n + 1)[:-1]) * root
+    lo, hi = 0.0, float((diag @ (x * x) + 2.0 * off @ (x[:-1] * x[1:])) / (x @ x))
+    if not math.isfinite(hi):
+        raise ValueError("dirichlet_lambda1 needs a finite positive weight")
+    sigma = hi
+    while (info := factor(sigma)[0]) != mesh_n:
+        # info 0: sigma < lambda1; any other failing pivot: sigma >= lambda1
+        lo, hi = (sigma, hi) if info == 0 else (lo, sigma)
+        if hi - lo <= xtol + 4.0 * eps * hi:  # brentq's stopping width, at least an ulp of hi
+            return 0.5 * (lo + hi)
+        sigma = 0.5 * (lo + hi)
+    # below sigma the first n-1 pivots stay positive: each pivot is monotone in the shift
+    return brentq(lambda t: factor(t)[1], lo, sigma, xtol=xtol)
 
 
 def lambda1_estimate(model: StaticModel, r_trunc: float, mesh_n: int) -> float:

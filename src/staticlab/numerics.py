@@ -5,9 +5,8 @@ state.  Quadrature is one batched adaptive Simpson refiner: ``quad`` hands
 it a single panel, ``cumulative_quad`` every interval that fails its
 two-panel check, and each refinement level calls the integrand once on an
 array.  ``brentq`` is Brent's bracketed root finder, ported from scipy so
-that a root solve loads none of scipy's optimisation modules.  Tridiagonal
-systems of the radial finite-difference machinery go to LAPACK, the one
-place this module imports scipy.
+that a root solve loads none of scipy's optimisation modules.  Nothing here
+imports scipy.
 """
 
 from __future__ import annotations
@@ -337,29 +336,6 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = float(f(xcur))
     raise RuntimeError(f"brentq: no convergence after {_BRENT_MAXITER} iterations, value is {xcur!r}")
-
-
-def tridiag_solve(lower, diag, upper, rhs) -> np.ndarray:
-    """Solve a tridiagonal system by LAPACK ``dgtsv`` (LU with partial pivoting).
-
-    ``lower`` and ``upper`` have length n-1; an exactly singular U factor
-    raises ``ValueError``.
-    """
-    from scipy.linalg.lapack import dgtsv
-
-    c = np.asarray(diag, dtype=float)
-    lo = np.asarray(lower, dtype=float)
-    up = np.asarray(upper, dtype=float)
-    d = np.asarray(rhs, dtype=float)
-    n = c.size
-    if lo.size != n - 1 or up.size != n - 1 or d.size != n:
-        raise ValueError("tridiag_solve: inconsistent band lengths")
-    if n == 1:  # the LAPACK wrapper rejects empty off-diagonal bands
-        lo = up = np.zeros(1)
-    _, _, _, x, info = dgtsv(lo, c, up, d)
-    if info > 0:
-        raise ValueError(f"tridiag_solve: zero pivot at row {info - 1}")
-    return x
 
 
 def fd_derivative(values: np.ndarray, ds: float) -> np.ndarray:

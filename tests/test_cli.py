@@ -223,6 +223,14 @@ CONFIG_DEFECTS = {
     # exit 1 after a divide RuntimeWarning
     "zero-lambda1-rtrunc": (_bundled_text("hyperbolic_cmc", "lambda1_rtrunc = 15.0", "lambda1_rtrunc = 0"),
                             "[task] lambda1_rtrunc", "positive"),
+    # exit 1 with "error: mesh_n >= 200 required"
+    "lambda1-n-below-floor": (_bundled_text("hyperbolic_cmc", "lambda1_n = 1500", "lambda1_n = 100"),
+                              "[task] lambda1_n", "not an integer >= 200"),
+    # exit 1 with "error: s outside domain [0.0, 25.0]" after the graph solve
+    "cheeger-rmax-past-domain": (_bundled_text("hyperbolic_cmc", "cheeger_rmax = 20.0", "cheeger_rmax = 30"),
+                                 "[task] cheeger_rmax", "s outside domain [0.0, 25.0]"),
+    "lambda1-rtrunc-past-domain": (_bundled_text("hyperbolic_cmc", "lambda1_rtrunc = 15.0", "lambda1_rtrunc = 30"),
+                                   "[task] lambda1_rtrunc", "s outside domain [0.0, 25.0]"),
 }
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from staticlab import elliptic
@@ -12,6 +12,7 @@ from staticlab.elliptic import (
     NewtonStagnationError,
     SlopeCapError,
     _clip_step,
+    _spd_solve,
     comparison_check,
     divergence_telescope,
     export_solution_csv,
@@ -117,12 +118,76 @@ class TestTelescoping:
         assert divergence_telescope(catenoid_op, u, rhs) <= 1e-12
 
 
+class TestSPDSolve:
+    """The Newton step's linear solve: one LDL^T factorisation, no pivoting, one refinement sweep."""
+
+    def test_identity(self):
+        r = np.array([1.0, 2.0, 3.0, 4.0])
+        assert np.allclose(_spd_solve(np.ones(4), np.zeros(3), r), r)
+
+    def test_second_difference(self):
+        x = _spd_solve(np.array([2.0, 2.0, 2.0]), np.array([-1.0, -1.0]), np.ones(3))
+        assert np.allclose(x, [1.5, 2.0, 1.5])
+
+    def test_single_row(self):
+        assert _spd_solve(np.array([4.0]), np.zeros(0), np.array([8.0]))[0] == 2.0
+
+    def test_not_definite_raises(self):
+        # indefinite but nonsingular, singular, zero, and a negative pivot in the middle
+        for diag, off in (([1.0, 1.0], [2.0]), ([1.0, 1.0], [1.0]), ([0.0], []), ([1.0, -1.0, 1.0], [0.1, 0.1])):
+            with pytest.raises(NewtonStagnationError, match="not definite"):
+                _spd_solve(np.array(diag), np.array(off), np.ones(len(diag)))
+
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_spd_matches_dense(self, n, seed):
+        # T = L D L^T with L unit lower bidiagonal and D > 0 is any SPD tridiagonal matrix
+        rng = np.random.default_rng(seed)
+        piv, mult = rng.uniform(1e-3, 1.0, n), rng.uniform(-2.0, 2.0, n - 1)
+        diag, off = piv.copy(), mult * piv[:-1]
+        diag[1:] += mult * mult * piv[:-1]
+        dense = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+        cond = np.linalg.cond(dense)
+        assume(cond < 1e8)
+        rhs = rng.uniform(-10, 10, n)
+        x = _spd_solve(diag, off, rhs)
+        x_ref = np.linalg.solve(dense, rhs)
+        scale = np.linalg.norm(x_ref)
+        assert np.max(np.abs(dense @ x - rhs)) <= 1e-13 * max(1.0, np.linalg.norm(rhs), scale)
+        assert np.linalg.norm(x - x_ref) <= 1e-14 * cond * scale
+
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_any_symmetric_matrix_solved_only_if_definite(self, n, seed):
+        # random signs: an answer comes back only for a positive definite matrix, and it is right
+        rng = np.random.default_rng(seed)
+        diag, off = rng.uniform(-1.0, 3.0, n), rng.uniform(-1.0, 1.0, n - 1)
+        dense = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+        rhs = rng.uniform(-10, 10, n)
+        try:
+            x = _spd_solve(diag, off, rhs)
+        except NewtonStagnationError:
+            assert np.linalg.eigvalsh(dense)[0] <= 1e-12 * np.max(np.abs(dense))
+            return
+        assert np.linalg.eigvalsh(dense)[0] > 0.0
+        assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=1e-8, atol=1e-8 * np.linalg.cond(dense))
+
+
 class TestNewton:
     def test_catenoid(self, catenoid_op):
         exact = catenoid_exact(catenoid_op.grid.nodes)
         prob = DirichletProblem(catenoid_op, np.zeros(len(catenoid_op.grid)), (0.0, float(exact[-1])))
         u = newton_solve(prob)
         assert np.max(np.abs(u.values - exact)) <= 1e-6
+
+    def test_non_definite_jacobian_raises(self, catenoid_op, monkeypatch):
+        # the analytic Jacobian is always definite; a corrupted one must stop Newton, not steer it
+        bands = elliptic._jacobian_bands
+        monkeypatch.setattr(elliptic, "_jacobian_bands", lambda op, u: tuple(-b for b in bands(op, u)))
+        exact = catenoid_exact(catenoid_op.grid.nodes)
+        prob = DirichletProblem(catenoid_op, np.zeros(len(catenoid_op.grid)), (0.0, float(exact[-1])))
+        with pytest.raises(NewtonStagnationError, match="not definite"):
+            newton_solve(prob)
 
     def test_constant_solution(self, catenoid_op):
         prob = DirichletProblem(catenoid_op, np.zeros(len(catenoid_op.grid)), (0.8, 0.8))

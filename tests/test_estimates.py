@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from staticlab.barriers import ComparisonModel
 from staticlab.estimates import (
@@ -22,6 +24,7 @@ from staticlab.estimates import (
     salavessa_check,
     sphere_area,
     weighted_volumes,
+    _symmetric_bands,
 )
 from staticlab.geometry import (
     DomainError,
@@ -277,6 +280,13 @@ class TestLambda1:
         with pytest.raises(ValueError):
             lambda1_estimate(hyperbolic_model, 10.0, 100)
 
+    def test_non_finite_weight_raises(self):
+        # a NaN weight passes every definiteness test, so the bisection would never end
+        for bad in (np.nan, np.inf, -1.0):
+            weight = lambda s, bad=bad: np.where(np.asarray(s) > 1.0, bad, 1.0)  # noqa: E731
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite positive weight"):
+                dirichlet_lambda1(weight, 2.0, 400)
+
     def test_large_balls_converge(self):
         # the weight reaches sinh(160); the values must still decrease toward
         # the spectral bottom 1/4 of H^2
@@ -289,6 +299,40 @@ class TestLambda1:
         diffs = np.diff(lams)
         for ratio in diffs[:-1] / diffs[1:]:
             assert 3.8 <= ratio <= 4.2
+
+    @given(st.sampled_from(["flat", "sinh", "random"]), st.integers(200, 600), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_matches_lapack_eigensolver(self, kind, n, seed):
+        # LAPACK's bisection eigensolver, called from this test only, is the oracle
+        from scipy.linalg import eigh_tridiagonal
+
+        rng = np.random.default_rng(seed)
+        r_trunc = float(rng.uniform(1.0, 40.0))
+        if kind == "flat":
+            weight = ONES
+        elif kind == "sinh":  # the weight of H^2 at curvature -k^2, up to sinh(160)
+            k = float(rng.uniform(0.5, 4.0))
+            weight = lambda s: np.sinh(k * np.asarray(s)) / k  # noqa: E731
+        else:
+            knots, values = np.linspace(0.0, r_trunc, 9), rng.uniform(0.1, 10.0, 9)
+            weight = lambda s: np.interp(s, knots, values)  # noqa: E731
+        diag, off, _ = _symmetric_bands(weight, r_trunc, n)
+        exact = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 0))[0]
+        norm = np.max(np.abs(diag) + np.abs(np.append(off, 0.0)) + np.abs(np.insert(off, 0, 0.0)))
+        assert abs(dirichlet_lambda1(weight, r_trunc, n) - exact) <= 4.0 * np.finfo(float).eps * norm
+
+    @pytest.mark.parametrize("r_trunc", [20.0, 40.0, 80.0, 160.0])
+    def test_factorisations_bounded_at_any_radius(self, r_trunc, monkeypatch):
+        # the bracket [0, Rayleigh quotient] is far narrower than Gershgorin's, and Brent finishes the root
+        from scipy.linalg import lapack
+
+        calls, dpttrf = [], lapack.dpttrf
+        monkeypatch.setattr(lapack, "dpttrf", lambda *args: calls.append(args[0].size) or dpttrf(*args))
+        model = StaticModel(RadialBase(2, hyperbolic_profile(1.0), (0.0, 160.0)), constant_warp(1.0))
+        for n in (100 * int(r_trunc), 12800):
+            calls.clear()
+            assert 0.25 < lambda1_estimate(model, r_trunc, n) < 0.25 + 10.0 / r_trunc**2
+            assert calls == [n] * len(calls) and 0 < len(calls) <= 40
 
     def test_b20_value_pinned(self, hyperbolic_model):
         # B_20 value of this discretisation; it does not depend on the eigensolver

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from staticlab import barriers, numerics
@@ -25,7 +25,6 @@ from staticlab.numerics import (
     cumulative_quad,
     fd_derivative,
     quad,
-    tridiag_solve,
 )
 
 
@@ -377,50 +376,6 @@ class TestBrentq:
             scipy_brentq(f, 0.0, 3.0, xtol=1e-12)
         with pytest.raises(RuntimeError, match="after 100 iterations"):
             brentq(f, 0.0, 3.0, xtol=1e-12)
-
-
-class TestTridiag:
-    def test_identity(self):
-        r = np.array([1.0, 2.0, 3.0, 4.0])
-        x = tridiag_solve(np.zeros(3), np.ones(4), np.zeros(3), r)
-        assert np.allclose(x, r)
-
-    def test_second_difference(self):
-        x = tridiag_solve([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0], [1.0, 1.0, 1.0])
-        assert np.allclose(x, [1.5, 2.0, 1.5])
-
-    def test_single_row(self):
-        assert tridiag_solve([], [4.0], [], [8.0])[0] == 2.0
-
-    def test_zero_pivot(self):
-        # [[1, 1], [1, 1]] is singular whatever the pivoting
-        with pytest.raises(ValueError, match="zero pivot"):
-            tridiag_solve([1.0], [1.0, 1.0], [1.0], [1.0, 1.0])
-        with pytest.raises(ValueError, match="zero pivot"):
-            tridiag_solve([], [0.0], [], [1.0])
-
-    def test_row_swap(self):
-        # [[0, 1], [1, 1]] is nonsingular but has a zero leading entry, so
-        # it needs partial pivoting
-        x = tridiag_solve([1.0], [0.0, 1.0], [1.0], [1.0, 1.0])
-        assert x.tolist() == [0.0, 1.0]
-
-    @given(st.integers(3, 30), st.integers(0, 2**32 - 1), st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_residual_small(self, n, seed, dominant):
-        rng = np.random.default_rng(seed)
-        lower = rng.uniform(-1, 1, n - 1)
-        upper = rng.uniform(-1, 1, n - 1)
-        diag = 3.0 + rng.uniform(0, 1, n) if dominant else rng.uniform(-1, 1, n)
-        rhs = rng.uniform(-10, 10, n)
-        dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-        cond = np.linalg.cond(dense)
-        assume(cond < 1e8)
-        x = tridiag_solve(lower, diag, upper, rhs)
-        x_ref = np.linalg.solve(dense, rhs)
-        scale = np.linalg.norm(x_ref)
-        assert np.max(np.abs(dense @ x - rhs)) <= 1e-13 * max(1.0, np.linalg.norm(rhs), scale)
-        assert np.linalg.norm(x - x_ref) <= 1e-14 * cond * scale
 
 
 def test_fd_derivative_fourth_order():

@@ -70,3 +70,15 @@ def test_barrier_paths_load_no_scipy_optimize(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip().splitlines()[-1] == "0 True []"
+
+
+def test_one_banded_linear_algebra_path():
+    # Newton and lambda1 both factor positive definite tridiagonals by LAPACK's LDL^T (dpttrf/dpttrs)
+    pkg = pathlib.Path(staticlab.__file__).parent
+    hits = [
+        f"{path.relative_to(pkg)}:{number}"
+        for path in sorted(pkg.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"eigh_tridiagonal|dgtsv|dstebz", line)
+    ]
+    assert hits == []
