@@ -202,13 +202,24 @@ def _build_model(cfg) -> geometry.StaticModel:
 
 
 def _build_grid(cfg, model) -> Grid:
-    t, (a, b) = cfg["task"], model.base.s_domain
-    a, b = (a if t["grid_a"] is None else t["grid_a"]), (b if t["grid_b"] is None else t["grid_b"])
-    if t["grid_rho_a"] is not None:
-        a = geometry.schwarzschild_s_of_rho(cfg["model"]["mu"], model.m, t["grid_rho_a"])
-    if t["grid_rho_b"] is not None:
-        b = geometry.schwarzschild_s_of_rho(cfg["model"]["mu"], model.m, t["grid_rho_b"])
-    return Grid.uniform(a, b, t["grid_n"])
+    """The task's uniform grid; an end set outside the model's domain, or b <= a, names its key."""
+    t, ends, named = cfg["task"], list(model.base.s_domain), []
+    for i, end in enumerate("ab"):
+        if t[key := f"grid_rho_{end}"] is not None:
+            ends[i] = geometry.schwarzschild_s_of_rho(cfg["model"]["mu"], model.m, t[key])
+        elif t[key := f"grid_{end}"] is not None:
+            ends[i] = t[key]
+        else:
+            continue
+        named.append(f"[task] {key} = {t[key]!r}")
+        try:
+            model.base.check_domain(ends[i])
+        except geometry.DomainError as exc:
+            raise ConfigError(f"{named[-1]}: {exc}") from exc
+    if ends[1] <= ends[0]:
+        raise ConfigError(f"{' and '.join(named)}: the grid's right end s = {ends[1]!r} "
+                          f"is not above its left end s = {ends[0]!r}")
+    return Grid.uniform(ends[0], ends[1], t["grid_n"])
 
 
 def _solve_graph(cfg, model, outdir):
@@ -249,7 +260,7 @@ def _task_barrier(cfg, model, outdir):
 
 def _task_estimates(cfg, model, outdir):
     t = cfg["task"]
-    for key in ("cheeger_rmax", "lambda1_rtrunc"):
+    for key in ("radii", "cheeger_rmax", "lambda1_rtrunc"):
         try:
             model.base.check_domain(t[key])
         except geometry.DomainError as exc:
@@ -293,8 +304,7 @@ def _task_elliptic(cfg, model, outdir):
     t, grid = cfg["task"], _build_grid(cfg, model)
     op = elliptic.MeshOperator.from_model(model, grid)
     rhs = np.full(len(grid), t["rhs"])
-    u = elliptic.newton_solve(elliptic.DirichletProblem(op, rhs, (t["bc_left"], t["bc_right"])),
-                              tol=1e-9)
+    u = elliptic.newton_solve(elliptic.DirichletProblem(op, rhs, (t["bc_left"], t["bc_right"])))
     elliptic.export_solution_csv(op, u, rhs, os.path.join(outdir, "solution.csv"))
     res = float(np.max(np.abs(elliptic.residual(op, u, rhs))))
     tele = elliptic.divergence_telescope(op, u, rhs)

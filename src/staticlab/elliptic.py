@@ -8,30 +8,31 @@ face-centred fluxes against the radial weight w = g^{m-1}:
 
 Face-centred fluxes preserve the divergence structure, so the interior sum
 of w ds r telescopes to boundary fluxes minus the load: the discrete
-divergence theorem that underpins the comparison principle.  A hard
-projection keeps face slopes below the spacelike cap 1 - 1e-6 (the
-continuum problem forbids |q Du| >= 1 and near-null states wreck the
-Jacobian conditioning); the cap is the constant ``SLOPE_CAP``, logged with
-each exported solution.
+divergence theorem that underpins the comparison principle, and the first
+integral by which :func:`newton_solve` solves the Dirichlet problem.  Face
+slopes must stay below the spacelike cap 1 - 1e-6 (the continuum problem
+forbids |q Du| >= 1, and near-null faces amplify rounding in the flux by
+(1 - q^2 d^2)^{-3/2}): the residual and the solve raise ``SlopeCapError``
+past it.  The cap is the constant ``SLOPE_CAP``, logged with each exported
+solution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import StaticModel
-from .numerics import Grid, SampledFunction
+from .numerics import Grid, SampledFunction, brentq
 from .reporting import EstimateReport, make_report, precondition_failure, write_table
 
 __all__ = [
     "MeshOperator",
     "DirichletProblem",
     "SlopeCapError",
-    "NewtonStagnationError",
     "residual",
-    "face_slopes",
     "divergence_telescope",
     "newton_solve",
     "comparison_check",
@@ -48,19 +49,15 @@ class SlopeCapError(ValueError):
         self.faces = tuple(faces)
 
 
-class NewtonStagnationError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class MeshOperator:
     """Grid plus face data of the discrete operator.
 
     ``w_nodes``/``w_faces`` sample the radial measure g^{m-1}; ``q_faces``
     the coefficient (the warp h) at face midpoints.  ``slope_cap`` is
-    ``SLOPE_CAP`` for every operator.  The arrays no Newton step changes are
-    formed once: ``ds_faces`` (face widths), ``q2_faces`` (q^2),
-    ``w_ds`` (w ds at interior nodes) and ``slope_limits`` (cap / q).
+    ``SLOPE_CAP`` for every operator.  The arrays no solve changes are
+    formed once: ``ds_faces`` (face widths), ``q2_faces`` (q^2) and
+    ``w_ds`` (w ds at interior nodes).
     """
 
     grid: Grid
@@ -88,7 +85,6 @@ class MeshOperator:
         object.__setattr__(self, "ds_faces", ds)
         object.__setattr__(self, "q2_faces", self.q_faces**2)
         object.__setattr__(self, "w_ds", self.w_nodes[1:-1] * (0.5 * (s[2:] - s[:-2])))  # dual cells at interior nodes
-        object.__setattr__(self, "slope_limits", self.slope_cap / self.q_faces)
 
     @classmethod
     def from_model(cls, model: StaticModel, grid: Grid) -> "MeshOperator":
@@ -107,12 +103,8 @@ def _load(op: MeshOperator, rhs) -> np.ndarray:
     return np.full(len(op.grid), float(rv)) if rv.size == 1 else rv
 
 
-def face_slopes(op: MeshOperator, u: np.ndarray) -> np.ndarray:
-    return np.diff(np.asarray(u, dtype=float)) / op.ds_faces
-
-
 def _face_flux(op: MeshOperator, u: np.ndarray) -> np.ndarray:
-    d = face_slopes(op, u)
+    d = np.diff(u) / op.ds_faces
     qd = op.q_faces * d
     over = np.abs(qd) > op.slope_cap
     if np.any(over):
@@ -162,121 +154,61 @@ class DirichletProblem:
             raise ValueError("rhs and boundary values must be finite")
 
 
-def _jacobian_bands(op: MeshOperator, u: np.ndarray):
-    """Bands of -S, where the residual's Jacobian is D^{-1} S with D = w ds: S_ii = -(c_i + c_{i+1}) and
-    S_{i,i+1} = c_{i+1} for the face coefficients c = w dPhi/dd / ds > 0, so -S is positive definite."""
-    qd = op.q_faces * face_slopes(op, u)
-    dphi = op.q2_faces / (1.0 - qd * qd) ** 1.5  # dPhi/dd > 0: discrete ellipticity
-    coeff = op.w_faces * dphi / op.ds_faces
-    return coeff[1:] + coeff[:-1], -coeff[1:-1]
+def newton_solve(problem: DirichletProblem) -> SampledFunction:
+    """Solve the discrete Dirichlet problem by its first integral.
 
-
-def _spd_solve(diag, off, rhs) -> np.ndarray:
-    """Solve a positive definite tridiagonal system by one LDL^T factorisation (LAPACK ``dpttrf``).
-
-    ``dpttrs`` solves with the factors, and again for one sweep of iterative
-    refinement: near-null Jacobians are badly conditioned and a single direct
-    solve loses digits the Newton iteration cannot recover on its own.  A
-    matrix that is not positive definite raises ``NewtonStagnationError``.
+    The load does not depend on u, so the discrete divergence theorem fixes
+    each face flux up to one constant: F_k = c + P_k, P_k the sum of w ds H
+    over the interior nodes up to k.  With y = F/(w q) the face slope is
+    d = y/(q sqrt(1 + y^2)), and sum d ds rises strictly in c from -sum ds/q
+    to +sum ds/q.  So a solution exists, and is unique, exactly when
+    |u(b) - u(a)| < sum ds/q (the discrete radial form of Bartnik and Simon's
+    acausal data, Comm. Math. Phys. 87, 1982); other data raise
+    ``ValueError``.  ``brentq`` finds c from a doubling bracket, to a
+    tolerance relative to the flux scale max(|c|, max|P|).  u is a prefix
+    sum of d ds compensated by TwoSum (Neumaier, ZAMM 54, 1974), so the
+    residual sits at the rounding floor eps max|u| max|J_ii|.  A face past
+    ``SLOPE_CAP`` raises ``SlopeCapError``.  The benchmark's ops call this
+    name; it becomes ``dirichlet_solve`` with the benchmark refresh.
     """
-    from scipy.linalg.lapack import dpttrf, dpttrs
+    op, (left, right) = problem.operator, problem.bc
+    wq, ds_q = op.w_faces * op.q_faces, op.ds_faces / op.q_faces
+    prefix = np.concatenate(([0.0], np.cumsum(op.w_ds * problem.rhs[1:-1])))
+    jump, reach = right - left, float(np.sum(ds_q))
+    if abs(jump) >= reach:
+        raise ValueError(f"boundary data is not spacelike: |u(b) - u(a)| = {abs(jump):.6g} "
+                         f"is not below sum ds/q = {reach:.6g}")
 
-    d, e, info = dpttrf(diag, off if off.size else np.zeros(1))  # the wrapper rejects an empty band
-    if info != 0:
-        raise NewtonStagnationError(f"Jacobian not definite: pivot {info} of {diag.size} fails")
-    x = dpttrs(d, e, rhs)[0]
-    lin_res = diag * x - rhs
-    lin_res[:-1] += off * x[1:]
-    lin_res[1:] += off * x[:-1]
-    return x - dpttrs(d, e, lin_res)[0]
+    def tilt(c):  # q d on each face
+        y = (c + prefix) / wq
+        return y / np.sqrt(1.0 + y * y)
 
+    known = {}  # brentq starts by evaluating the bracket ends found below
 
-def _clip_step(op: MeshOperator, u: np.ndarray, delta_interior: np.ndarray) -> float:
-    """Largest step fraction keeping every face slope within the cap."""
-    delta = np.zeros_like(u)
-    delta[1:-1] = delta_interior
-    d_u, d_delta = face_slopes(op, u), face_slopes(op, delta)
-    moving = d_delta != 0.0
-    d_u, dd, cap = d_u[moving], d_delta[moving], op.slope_limits[moving]
-    # |du + alpha dd| <= c holds up to the larger of the two roots
-    hi = (cap - d_u) / dd
-    lo = (-cap - d_u) / dd
-    hi = np.where(hi > lo, hi, lo)
-    return float(np.min(np.where(hi > 0, hi, 0.0), initial=1.0))
+    def excess(c):
+        if c not in known:
+            known[c] = float(np.dot(tilt(c), ds_q)) - jump
+        return known[c]
 
-
-def _solve_fixed_rhs(problem: DirichletProblem, u0: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    op = problem.operator
-    u = u0.copy()
-    r = residual(op, u, problem.rhs)
-    for _ in range(max_iter):
-        norm = float(np.max(np.abs(r)))
-        if norm <= tol:
-            return u
-        diag, off = _jacobian_bands(op, u)
-        # rounding u_i by eps |u| moves r_i by up to eps max|u| max|J_ii|:
-        # below this no step can be told from rounding noise
-        floor = np.finfo(float).eps * float(np.max(np.abs(u))) * float(np.max(diag / op.w_ds))
-        # J delta = -r with J = D^{-1} S is (-S) delta = D r
-        delta = _spd_solve(diag, off, op.w_ds * r)
-        clip = _clip_step(op, u, delta)
-        alpha = 1.0 if clip >= 1.0 else 0.999 * clip
-        if alpha <= 0:
-            raise NewtonStagnationError(f"step fully clipped by the spacelike cap (residual {norm:.3e})")
-        # backtracking on the residual norm
-        while alpha > 1e-14:
-            trial = u.copy()
-            trial[1:-1] += alpha * delta
-            try:
-                r_trial = residual(op, trial, problem.rhs)
-            except SlopeCapError:
-                alpha *= 0.5
-                continue
-            if float(np.max(np.abs(r_trial))) < norm:
-                u, r = trial, r_trial
-                break
-            if norm <= floor:
-                return u
-            alpha *= 0.5
-        else:
-            raise NewtonStagnationError(
-                f"damped Newton stagnated: step < 1e-14 with residual {norm:.3e} > tol {tol:.3e}"
-            )
-    norm = float(np.max(np.abs(r)))
-    if norm <= tol:
-        return u
-    raise NewtonStagnationError(f"no convergence in {max_iter} iterations (residual {norm:.3e})")
-
-
-def newton_solve(problem: DirichletProblem, tol: float = 1e-9, max_iter: int = 60) -> SampledFunction:
-    """Damped Newton with analytic tridiagonal Jacobian and load continuation.
-
-    The Jacobian is D^{-1} S with D = w ds and S symmetric negative
-    definite, so each step solves (-S) delta = D r by one LDL^T
-    factorisation.  The cold start is the linear interpolant of the boundary
-    data (which must itself be spacelike).  Iteration stops once the max-norm residual is at
-    most ``tol``, or at the rounding floor eps max|u| max|J_ii| (about
-    eps |u| / ds^2): a step that fails to lower a residual already below the
-    floor returns the current iterate.  The floor is an exit, never the
-    target; callers read the residual reached from :func:`residual`.  If the
-    cold solve raises, the load is ramped in four continuation stages with
-    warm starts.  ``NewtonStagnationError`` means the iteration budget ran
-    out, descent failed above the floor, the step was fully clipped, or the
-    factorisation found -S not positive definite.
-    """
-    op = problem.operator
-    s = op.grid.nodes
-    u_lin = problem.bc[0] + (problem.bc[1] - problem.bc[0]) * (s - s[0]) / (s[-1] - s[0])
-    lin_slope = abs(problem.bc[1] - problem.bc[0]) / (s[-1] - s[0])
-    if np.any(op.q_faces * lin_slope >= op.slope_cap):
-        raise ValueError("boundary data does not admit a spacelike linear interpolant")
-    try:
-        u = _solve_fixed_rhs(problem, u_lin, tol, max_iter)
-    except NewtonStagnationError:
-        u = u_lin
-        for t in (0.25, 0.5, 0.75, 1.0):
-            staged = DirichletProblem(op, t * problem.rhs, problem.bc)
-            u = _solve_fixed_rhs(staged, u, tol, max_iter)
+    # start from the flux of a graph with the mean tilt jump/reach, and double outward to a bracket
+    t, scale = jump / reach, float(np.max(np.abs(prefix)))
+    near = t / math.sqrt(1.0 - t * t) * float(np.mean(wq)) - float(np.mean(prefix))
+    step, sign = max(abs(near), scale, np.finfo(float).tiny), 1.0 if excess(near) < 0 else -1.0
+    while math.isfinite(far := near + sign * step) and sign * excess(far) < 0:
+        near, step = far, 2.0 * step
+    if not math.isfinite(far):
+        raise ValueError(f"boundary data is not spacelike within rounding (sum ds/q = {reach:.6g})")
+    c = brentq(excess, min(near, far), max(near, far), np.finfo(float).eps * max(abs(near), abs(far), scale))
+    qd = tilt(c)
+    over = np.abs(qd) > op.slope_cap
+    if np.any(over):
+        raise SlopeCapError(np.flatnonzero(over))
+    steps = np.concatenate(([left], qd * ds_q))
+    run = np.cumsum(steps)  # np.cumsum adds in sequence, so TwoSum recovers each step's rounding error
+    prev = np.concatenate(([0.0], run[:-1]))
+    back = run - prev
+    u = run + np.cumsum((prev - (run - back)) + (steps - back))
+    u[-1] = right
     return SampledFunction(op.grid, u)
 
 

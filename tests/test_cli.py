@@ -231,6 +231,21 @@ CONFIG_DEFECTS = {
                                  "[task] cheeger_rmax", "s outside domain [0.0, 25.0]"),
     "lambda1-rtrunc-past-domain": (_bundled_text("hyperbolic_cmc", "lambda1_rtrunc = 15.0", "lambda1_rtrunc = 30"),
                                    "[task] lambda1_rtrunc", "s outside domain [0.0, 25.0]"),
+    # exit 1 with "error: s outside domain [0.0, 25.0]" after the graph solve
+    "radii-past-domain": (_bundled_text("hyperbolic_cmc", "radii = 2.0 5.0 10.0", "radii = 2.0 5.0 30.0"),
+                          "[task] radii", "s outside domain [0.0, 25.0]"),
+    # exit 1 with "error: s outside domain [0.0, 25.0]"
+    "grid-b-past-domain": (_bundled_text("hyperbolic_cmc", "grid_b = 12.0", "grid_b = 30.0"),
+                           "[task] grid_b", "s outside domain [0.0, 25.0]"),
+    # exit 1 with "error: no convergence in 60 iterations"
+    "grid-a-near-zero": (_bundled_text("euclidean_catenoid", "grid_a = 1.0", "grid_a = 1e-9"),
+                         "[task] grid_a", "s outside domain [0.5, 10.0]"),
+    # exit 0 on a grid below s_min = 0.5
+    "grid-a-below-domain": (_bundled_text("euclidean_catenoid", "grid_a = 1.0", "grid_a = 0.2"),
+                            "[task] grid_a", "s outside domain [0.5, 10.0]"),
+    # exit 1 with "error: grid nodes must be strictly increasing"
+    "grid-b-below-grid-a": (_bundled_text("euclidean_catenoid", "grid_b = 2.0", "grid_b = 0.8"),
+                            "[task] grid_b", "is not above its left end"),
 }
 
 

@@ -72,8 +72,21 @@ def test_barrier_paths_load_no_scipy_optimize(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "0 True []"
 
 
+def test_catenoid_run_loads_no_scipy(tmp_path):
+    # the Dirichlet solve is one scalar root in numpy: a cold euclidean_catenoid run imports no scipy
+    code = (
+        "import sys; from staticlab import cli; "
+        f"code = cli.main(['run', 'euclidean_catenoid', '--out', {str(tmp_path)!r}]); "
+        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(staticlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip().splitlines()[-1] == "0 []"
+
+
 def test_one_banded_linear_algebra_path():
-    # Newton and lambda1 both factor positive definite tridiagonals by LAPACK's LDL^T (dpttrf/dpttrs)
+    # lambda1 factors positive definite tridiagonals by LAPACK's LDL^T (dpttrf) alone
     pkg = pathlib.Path(staticlab.__file__).parent
     hits = [
         f"{path.relative_to(pkg)}:{number}"
